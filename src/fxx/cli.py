@@ -9,18 +9,18 @@ Exit codes: 0 ok, 2 parse error, 3 pricing precondition violated,
 """
 
 import argparse
+import dataclasses
+import enum
 import json
 import os
 import sys
 
-from .contracts import (BarrierSide, DoubleBarrierSpec, KikoSpec, KnockType,
-                        MarketEnvironment, OptionDirection, SingleBarrierSpec,
-                        VanillaSpec)
+from .contracts import DoubleBarrierSpec, KnockType, MarketEnvironment, VanillaSpec
 from .double_barrier import SeriesConfig
 from .errors import NumericalError, PricingError
 from .greeks_fd import FdBumps
 from .mc_oracle import McConfig, mc_price_batch
-from .router import greeks_contract, price_contract
+from .router import _CONTRACTS, greeks_contract, price_contract
 from .vanilla import d1_d2
 from .vanna_volga import PivotQuotes, vv_price
 
@@ -103,26 +103,18 @@ def _coerce(value, kind, where: str):
         if not isinstance(value, dict):
             raise RequestError(f"{where}: expected an object, got {value!r}")
         return value
+    if issubclass(kind, enum.Enum):
+        choices = {member.name.lower(): member for member in kind}
+        if not isinstance(value, str) or value not in choices:
+            raise RequestError(f"{where}: expected one of {sorted(choices)}, got {value!r}")
+        return choices[value]
     raise TypeError(kind)
-
-
-def _parse_enum(value: str, mapping: dict, where: str):
-    try:
-        return mapping[value]
-    except KeyError:
-        raise RequestError(
-            f"{where}: expected one of {sorted(mapping)}, got {value!r}") from None
-
-
-_DIRECTIONS = {"call": OptionDirection.CALL, "put": OptionDirection.PUT}
-_SIDES = {"upper": BarrierSide.UPPER, "lower": BarrierSide.LOWER}
-_KNOCKS = {"in": KnockType.IN, "out": KnockType.OUT}
 
 
 def parse_request(path: str) -> tuple:
     """Read a request file into (MarketEnvironment, contract spec)."""
     doc = _load_json(path)
-    top = _take(doc, path, {"market": dict, "contract": dict})
+    _take(doc, path, {"market": dict, "contract": dict})
     market = _take(doc["market"], f"{path}:market", {
         "spot": float, "domestic_rate": float, "foreign_rate": float,
         "volatility": float, "maturity": float})
@@ -131,45 +123,19 @@ def parse_request(path: str) -> tuple:
                             T=market["maturity"])
     contract = doc["contract"]
     where = f"{path}:contract"
-    if not isinstance(contract, dict) or "type" not in contract:
+    if "type" not in contract:
         raise RequestError(f"{where}: must be an object with a 'type' field")
-    ctype = contract["type"]
-    if ctype == "vanilla":
-        fields = _take(contract, where, {"type": str, "direction": str, "strike": float})
-        spec = VanillaSpec(_parse_enum(fields["direction"], _DIRECTIONS, where),
-                           fields["strike"])
-    elif ctype == "single_barrier":
-        fields = _take(contract, where, {"type": str, "direction": str, "strike": float,
-                                         "barrier": float, "side": str, "knock": str})
-        spec = SingleBarrierSpec(
-            direction=_parse_enum(fields["direction"], _DIRECTIONS, where),
-            strike=fields["strike"], barrier=fields["barrier"],
-            side=_parse_enum(fields["side"], _SIDES, where),
-            knock=_parse_enum(fields["knock"], _KNOCKS, where))
-    elif ctype == "double_barrier":
-        fields = _take(contract, where, {"type": str, "direction": str, "strike": float,
-                                         "lower_barrier": float, "upper_barrier": float,
-                                         "knock": str})
-        spec = DoubleBarrierSpec(
-            direction=_parse_enum(fields["direction"], _DIRECTIONS, where),
-            strike=fields["strike"], lower=fields["lower_barrier"],
-            upper=fields["upper_barrier"],
-            knock=_parse_enum(fields["knock"], _KNOCKS, where))
-    elif ctype == "kiko":
-        fields = _take(contract, where, {"type": str, "direction": str, "strike": float,
-                                         "in_barrier": float, "in_side": str,
-                                         "out_barrier": float, "out_side": str})
-        spec = KikoSpec(
-            direction=_parse_enum(fields["direction"], _DIRECTIONS, where),
-            strike=fields["strike"], barrier_in=fields["in_barrier"],
-            side_in=_parse_enum(fields["in_side"], _SIDES, where),
-            barrier_out=fields["out_barrier"],
-            side_out=_parse_enum(fields["out_side"], _SIDES, where))
+    for cls, entry in _CONTRACTS.items():
+        if entry.schema == contract["type"]:
+            break
     else:
         raise RequestError(
-            f"{where}.type: expected one of ['vanilla', 'single_barrier', "
-            f"'double_barrier', 'kiko'], got {ctype!r}")
-    return env, spec
+            f"{where}.type: expected one of {[e.schema for e in _CONTRACTS.values()]}, "
+            f"got {contract['type']!r}")
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    fields = _take(contract, where, {"type": str, **{
+        name: kinds[attr] for name, attr in entry.fields.items()}})
+    return env, cls(**{attr: fields[name] for name, attr in entry.fields.items()})
 
 
 def parse_quotes(path: str) -> PivotQuotes:

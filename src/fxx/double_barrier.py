@@ -140,13 +140,6 @@ def _single_ko(env: MarketEnvironment, direction: OptionDirection, strike: float
         side=side, knock=KnockType.OUT))
 
 
-def _single_ki(env: MarketEnvironment, direction: OptionDirection, strike: float,
-               barrier: float, side: BarrierSide) -> float:
-    return price_single_barrier(env, SingleBarrierSpec(
-        direction=direction, strike=strike, barrier=barrier,
-        side=side, knock=KnockType.IN))
-
-
 def _ko_either(env: MarketEnvironment, direction: OptionDirection, strike: float,
                x: float, y: float, cfg: SeriesConfig) -> float:
     """Price of an option knocked out by touching either of two levels.
@@ -169,66 +162,36 @@ def _ko_either(env: MarketEnvironment, direction: OptionDirection, strike: float
     return _single_ko(env, direction, strike, lo, BarrierSide.UPPER)
 
 
-# Replication rows for in/out barrier pairs. Each row fixes the printed
-# strike/barrier inequality and the barrier sides it presumes; ``legs``
-# builds the replicating portfolio value.
-def _kiko_rows():
-    C, P = OptionDirection.CALL, OptionDirection.PUT
-    UP, LOW = BarrierSide.UPPER, BarrierSide.LOWER
-    return (
-        # direction, matcher(K, bi, bo), side_in, side_out, rule, pricer
-        (C, lambda K, bi, bo: bi < K <= bo, LOW, UP, "in-low-out-high",
-         lambda env, K, bi, bo, cfg:
-             _single_ko(env, C, K, bo, UP) - _ko_either(env, C, K, bi, bo, cfg)),
-        (C, lambda K, bi, bo: K <= bi < bo, UP, UP, "both-high-in-near",
-         lambda env, K, bi, bo, cfg:
-             _single_ki(env, C, K, bi, UP) - _single_ki(env, C, K, bo, UP)),
-        (C, lambda K, bi, bo: K <= bo < bi, UP, UP, "both-high-in-far",
-         None),
-        (C, lambda K, bi, bo: bi < bo < K, LOW, LOW, "both-low-in-far",
-         None),
-        (C, lambda K, bi, bo: bo < bi < K, LOW, LOW, "both-low-in-near",
-         lambda env, K, bi, bo, cfg:
-             _single_ki(env, C, K, bi, LOW) - _single_ki(env, C, K, bo, LOW)),
-        (C, lambda K, bi, bo: bo < K <= bi, UP, LOW, "in-high-out-low",
-         lambda env, K, bi, bo, cfg:
-             _single_ki(env, C, K, bi, UP) - _single_ki(env, C, K, bo, LOW)),
-        (P, lambda K, bi, bo: bi <= K < bo, LOW, UP, "in-low-out-high",
-         lambda env, K, bi, bo, cfg:
-             _single_ki(env, P, K, bi, LOW) - _single_ki(env, P, K, bo, UP)),
-        (P, lambda K, bi, bo: K < bi < bo, UP, UP, "both-high-in-near",
-         lambda env, K, bi, bo, cfg:
-             _single_ki(env, P, K, bi, UP) - _single_ki(env, P, K, bo, UP)),
-        (P, lambda K, bi, bo: K <= bo < bi, UP, UP, "both-high-in-far",
-         None),
-        (P, lambda K, bi, bo: bi < bo <= K, LOW, LOW, "both-low-in-far",
-         None),
-        (P, lambda K, bi, bo: bo < bi <= K, LOW, LOW, "both-low-in-near",
-         lambda env, K, bi, bo, cfg:
-             _single_ko(env, P, K, bo, LOW) - _ko_either(env, P, K, bi, bo, cfg)),
-        (P, lambda K, bi, bo: bo <= K < bi, UP, LOW, "in-high-out-low",
-         lambda env, K, bi, bo, cfg:
-             _single_ki(env, P, K, bi, UP) - _single_ki(env, P, K, bo, LOW)),
-    )
+_C, _P = OptionDirection.CALL, OptionDirection.PUT
+_UP, _LOW = BarrierSide.UPPER, BarrierSide.LOWER
 
-
-_KIKO_ROWS = _kiko_rows()
+# Classification rows for in/out barrier pairs: direction, the printed
+# strike/barrier inequality, the barrier sides it presumes and the rule tag.
+# Every row is priced by the same identity in ``kiko_price``.
+_KIKO_ROWS = (
+    (_C, lambda K, bi, bo: bi < K <= bo, _LOW, _UP, "in-low-out-high"),
+    (_C, lambda K, bi, bo: K <= bi < bo, _UP, _UP, "both-high-in-near"),
+    (_C, lambda K, bi, bo: K <= bo < bi, _UP, _UP, "both-high-in-far"),
+    (_C, lambda K, bi, bo: bi < bo < K, _LOW, _LOW, "both-low-in-far"),
+    (_C, lambda K, bi, bo: bo < bi < K, _LOW, _LOW, "both-low-in-near"),
+    (_C, lambda K, bi, bo: bo < K <= bi, _UP, _LOW, "in-high-out-low"),
+    (_P, lambda K, bi, bo: bi <= K < bo, _LOW, _UP, "in-low-out-high"),
+    (_P, lambda K, bi, bo: K < bi < bo, _UP, _UP, "both-high-in-near"),
+    (_P, lambda K, bi, bo: K <= bo < bi, _UP, _UP, "both-high-in-far"),
+    (_P, lambda K, bi, bo: bi < bo <= K, _LOW, _LOW, "both-low-in-far"),
+    (_P, lambda K, bi, bo: bo < bi <= K, _LOW, _LOW, "both-low-in-near"),
+    (_P, lambda K, bi, bo: bo <= K < bi, _UP, _LOW, "in-high-out-low"),
+)
 
 
 def classify_kiko(spec: KikoSpec) -> str:
     """Rule identifier of the replication row matching a KIKO spec."""
-    row = _match_kiko_row(spec)
-    kind = "call" if spec.direction == OptionDirection.CALL else "put"
-    return f"KIKO-{kind}-{row[4]}"
-
-
-def _match_kiko_row(spec: KikoSpec):
-    for row in _KIKO_ROWS:
-        direction, matcher, side_in, side_out, _rule, _legs = row
+    for direction, matcher, side_in, side_out, rule in _KIKO_ROWS:
         if (spec.direction == direction
                 and matcher(spec.strike, spec.barrier_in, spec.barrier_out)
                 and spec.side_in == side_in and spec.side_out == side_out):
-            return row
+            kind = "call" if direction == _C else "put"
+            return f"KIKO-{kind}-{rule}"
     raise ClassificationError(
         f"no replication row matches direction={spec.direction.name}, "
         f"K={spec.strike}, in={spec.barrier_in}({spec.side_in.name}), "
@@ -238,13 +201,16 @@ def _match_kiko_row(spec: KikoSpec):
 
 def kiko_price(env: MarketEnvironment, spec: KikoSpec,
                cfg: SeriesConfig = SeriesConfig()) -> float:
-    """Knock-in/knock-out pair priced by its replicating portfolio."""
+    """Knock-in/knock-out pair: pays when the in barrier is touched and the
+    out barrier is not, which is the knock-out at the out barrier minus the
+    option knocked out by touching either barrier."""
     spec.validate_against(env)
-    row = _match_kiko_row(spec)
-    legs = row[5]
-    if legs is None:
-        return 0.0
-    return legs(env, spec.strike, spec.barrier_in, spec.barrier_out, cfg)
+    classify_kiko(spec)  # rejects layouts no row covers
+    K, bi, bo = spec.strike, spec.barrier_in, spec.barrier_out
+    if spec.side_in == spec.side_out and abs(bi - env.spot) > abs(bo - env.spot):
+        return 0.0  # every path reaching the in barrier crosses the out barrier first
+    return (_single_ko(env, spec.direction, K, bo, spec.side_out)
+            - _ko_either(env, spec.direction, K, bi, bo, cfg))
 
 
 _MIN_REL_BUMP = 1e-12

@@ -23,14 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .contracts import (BarrierSide, DoubleBarrierSpec, KikoSpec, KnockType,
-                        MarketEnvironment, SingleBarrierSpec, VanillaSpec)
+from .contracts import BarrierSide, MarketEnvironment
 from .errors import DomainError
+from .router import _lookup
 
 _CHUNK = 512           # paths per stream chunk; fixed, part of the stream layout
 _STREAM_PATH = 0       # per-step path uniforms
-_STREAM_SURVIVAL = 1   # survival thinning draw (knock-out / corridor barriers)
-_STREAM_TRIGGER = 2    # knock-in trigger draw (in-barrier of in/out pairs)
+_STREAM_SURVIVAL = 1   # thinning draw of the first barrier group
+_STREAM_TRIGGER = 2    # knock-in draw behind a knock-out group (in/out pairs)
 _NEAR_SDS = 5.0        # bridge std devs beyond which survival rounds to 1.0
 
 
@@ -100,46 +100,31 @@ class _BarrierPlan:
 
 
 class _ContractPlan:
-    """Payoff evaluator for one contract on a simulated chunk."""
+    """Payoff evaluator for one contract on a simulated chunk.
+
+    The payoff is kept on paths that survive every knock-out barrier and
+    touch some knock-in barrier. The first group present thins against the
+    survival stream, a knock-in group behind a knock-out group against the
+    trigger stream.
+    """
 
     def __init__(self, env: MarketEnvironment, cfg: McConfig, spec):
+        knock_out, knock_in = _lookup(spec).barriers(spec)
         spec.validate_against(env)
         self.phi = int(spec.direction)
         self.strike = spec.strike
         self.discount = math.exp(-env.r_d * env.T)
-        self.kind = "vanilla"
-        if isinstance(spec, SingleBarrierSpec):
-            self.kind = "single"
-            self.knock = spec.knock
-            self.barriers = (_BarrierPlan(env, cfg, spec.barrier, spec.side),)
-        elif isinstance(spec, DoubleBarrierSpec):
-            self.kind = "double"
-            self.knock = spec.knock
-            self.barriers = (_BarrierPlan(env, cfg, spec.lower, BarrierSide.LOWER),
-                             _BarrierPlan(env, cfg, spec.upper, BarrierSide.UPPER))
-        elif isinstance(spec, KikoSpec):
-            self.kind = "kiko"
-            self.barrier_out = _BarrierPlan(env, cfg, spec.barrier_out, spec.side_out)
-            self.barrier_in = _BarrierPlan(env, cfg, spec.barrier_in, spec.side_in)
-        elif not isinstance(spec, VanillaSpec):
-            raise DomainError(f"unsupported contract type {type(spec).__name__}")
+        self.knock_out = [_BarrierPlan(env, cfg, level, side) for level, side in knock_out]
+        self.knock_in = [_BarrierPlan(env, cfg, level, side) for level, side in knock_in]
 
     def payoffs(self, chunk: "_SimulatedChunk") -> np.ndarray:
-        base = self.discount * np.maximum(self.phi * (chunk.terminal - self.strike), 0.0)
-        if self.kind == "vanilla":
-            return base
-        if self.kind == "kiko":
-            w_out = chunk.weight(self.barrier_out)
-            w_in = chunk.weight(self.barrier_in)
-            kept = (chunk.u_survival < w_out) & (chunk.u_trigger >= w_in)
-            return base * kept
-        weights = chunk.weight(self.barriers[0])
-        for extra in self.barriers[1:]:
-            weights = weights * chunk.weight(extra)
-        survived = chunk.u_survival < weights
-        if self.knock == KnockType.OUT:
-            return base * survived
-        return base * ~survived
+        pay = self.discount * np.maximum(self.phi * (chunk.terminal - self.strike), 0.0)
+        roles = iter((_STREAM_SURVIVAL, _STREAM_TRIGGER))
+        if self.knock_out:
+            pay = pay * (chunk.uniforms(next(roles)) < chunk.survival(self.knock_out))
+        if self.knock_in:
+            pay = pay * (chunk.uniforms(next(roles)) >= chunk.survival(self.knock_in))
+        return pay
 
 
 class _SimulatedChunk:
@@ -162,8 +147,7 @@ class _SimulatedChunk:
         self.path_max = self.log_path.max(axis=1)
         self.terminal = env.spot * np.exp(self.log_path[:, -1])
         self._weights = {}
-        self._u1 = None
-        self._u2 = None
+        self._uniforms = {}
 
     def weight(self, plan: _BarrierPlan) -> np.ndarray:
         key = (plan.log_level, plan.side)
@@ -172,19 +156,18 @@ class _SimulatedChunk:
                                                self.path_max, self._bridge)
         return self._weights[key]
 
-    @property
-    def u_survival(self) -> np.ndarray:
-        if self._u1 is None:
-            self._u1 = _rng(self._cfg, self._index, _STREAM_SURVIVAL).random(
-                self.log_path.shape[0])
-        return self._u1
+    def survival(self, barriers: list) -> np.ndarray:
+        """Probability of touching none of ``barriers``."""
+        weights = self.weight(barriers[0])
+        for extra in barriers[1:]:
+            weights = weights * self.weight(extra)
+        return weights
 
-    @property
-    def u_trigger(self) -> np.ndarray:
-        if self._u2 is None:
-            self._u2 = _rng(self._cfg, self._index, _STREAM_TRIGGER).random(
+    def uniforms(self, role: int) -> np.ndarray:
+        if role not in self._uniforms:
+            self._uniforms[role] = _rng(self._cfg, self._index, role).random(
                 self.log_path.shape[0])
-        return self._u2
+        return self._uniforms[role]
 
 
 def mc_price_batch(env: MarketEnvironment, specs, cfg: McConfig,

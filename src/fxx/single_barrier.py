@@ -3,9 +3,9 @@
 Every barrier variant is a signed combination of four decomposition
 parameters. Two kernels cover them:
 
-* the *direct* kernel (parameters A and B) is the two-rate vanilla
-  formula with the log argument taken against the strike (A) or the
-  barrier (B);
+* the *direct* kernel (parameters A and B, in ``fxx.vanilla``) is the
+  two-rate vanilla formula with the log argument taken against the
+  strike (A) or the barrier (B);
 * the *reflected* kernel (parameters C and D) carries the barrier
   reflection power ``(B/S)^(2 alpha)`` and the mirrored log argument.
 
@@ -22,8 +22,8 @@ from .contracts import (BarrierSide, GreekSet, MarketEnvironment, OptionDirectio
 from .errors import DomainError, NumericalError, PreconditionError
 from .num_core import std_normal_cdf as _N
 from .num_core import std_normal_pdf as _n
+from .vanilla import _check_env, _kernel_direct
 
-_MIN_SIG_SQRT_T = 1e-10
 _NEGATIVE_CLAMP = 1e-10
 
 
@@ -36,40 +36,6 @@ class AbcdValues:
     c: float
     d: float
     alpha: float
-
-
-def _check_env(env: MarketEnvironment) -> float:
-    s = env.sigma * math.sqrt(env.T)
-    if s < _MIN_SIG_SQRT_T:
-        raise DomainError(
-            f"sigma*sqrt(T)={s!r} below {_MIN_SIG_SQRT_T}; barrier kernels need "
-            "a non-degenerate diffusion scale")
-    return s
-
-
-def _kernel_direct(env: MarketEnvironment, phi: int, strike: float,
-                   log_ref: float) -> GreekSet:
-    """Value and Greeks of phi*(S F N(phi u) - K D N(phi(u - s))).
-
-    ``log_ref`` is the level inside the log (strike for parameter A,
-    barrier for parameter B); the cash leg always uses the strike.
-    """
-    S, T, sig = env.spot, env.T, env.sigma
-    s = _check_env(env)
-    F = math.exp(-env.r_f * T)
-    D = math.exp(-env.r_d * T)
-    u = (math.log(S / log_ref) + (env.drift + 0.5 * sig * sig) * T) / s
-    e = u - s
-    nu, ne = _n(u), _n(e)
-    value = phi * (S * F * _N(phi * u) - strike * D * _N(phi * e))
-    delta = phi * F * _N(phi * u) + (S * F * nu - strike * D * ne) / (S * s)
-    vega = (u * strike * D * ne - e * S * F * nu) / sig
-    vanna = ((strike * D * ne / (S * s)) * (1.0 - u * e)
-             - (F * nu / s) * (1.0 + e * s - u * e)) / sig
-    volga = (-vega / sig
-             + (e * (u * u - 1.0) * strike * D * ne
-                + u * (1.0 - e * e) * S * F * nu) / (sig * sig))
-    return GreekSet(value, delta, vega, vanna, volga)
 
 
 def _kernel_reflected(env: MarketEnvironment, phi: int, eta: int, strike: float,

@@ -37,6 +37,40 @@ UP_OUT = {"type": "single_barrier", "direction": "call", "strike": 120.0,
           "barrier": 110.0, "side": "upper", "knock": "out"}
 
 
+SCHEMAS = [
+    (VANILLA, "VanillaSpec", "vanilla"),
+    (UP_OUT, "SingleBarrierSpec", "UO-call-standard"),
+    ({"type": "double_barrier", "direction": "put", "strike": 100.0,
+      "lower_barrier": 85.0, "upper_barrier": 115.0, "knock": "in"},
+     "DoubleBarrierSpec", "KIKI-put"),
+    ({"type": "kiko", "direction": "put", "strike": 105.0, "in_barrier": 92.0,
+      "in_side": "lower", "out_barrier": 85.0, "out_side": "lower"},
+     "KikoSpec", "KIKO-put-both-low-in-near"),
+]
+
+
+class TestSchemas:
+    @pytest.mark.parametrize("contract,cls,rule", SCHEMAS,
+                             ids=[contract["type"] for contract, _, _ in SCHEMAS])
+    def test_schema(self, tmp_path, capsys, contract, cls, rule):
+        code, out, _ = run(capsys, "price", write_request(tmp_path, contract))
+        assert code == 0
+        record = record_of(out)
+        assert (record["contract"], record["rule"]) == (cls, rule)
+        for name in contract:
+            partial = {k: v for k, v in contract.items() if k != name}
+            code, _, err = run(capsys, "price", write_request(tmp_path, partial))
+            assert code == 2
+            assert f"'{name}'" in err
+        for name, value in contract.items():
+            if name == "type" or not isinstance(value, str):
+                continue
+            code, _, err = run(capsys, "price",
+                               write_request(tmp_path, dict(contract, **{name: "sideways"})))
+            assert code == 2
+            assert f"contract.{name}:" in err
+
+
 class TestPrice:
     def test_vanilla_record_fields(self, tmp_path, capsys):
         code, out, _ = run(capsys, "price", write_request(tmp_path, VANILLA))

@@ -165,13 +165,22 @@ class TestInOutPair:
         assert kiko_price(ENV, KikoSpec(CALL, 95.0, 120.0, UP, 110.0, UP)) == 0.0
         assert kiko_price(ENV, KikoSpec(PUT, 110.0, 80.0, LOW, 90.0, LOW)) == 0.0
 
-    def test_corridor_row_replication(self):
-        # in-barrier below spot, out-barrier above, strike in between
-        spec = KikoSpec(CALL, 100.0, 90.0, LOW, 115.0, UP)
-        up_out = price_single_barrier(
-            ENV, SingleBarrierSpec(CALL, 100.0, 115.0, UP, OUT))
-        corridor = koko_price(ENV, DoubleBarrierSpec(CALL, 100.0, 90.0, 115.0, OUT))
-        assert kiko_price(ENV, spec) == pytest.approx(up_out - corridor, abs=1e-12)
+    @pytest.mark.parametrize("spec", [
+        KikoSpec(CALL, 100.0, 90.0, LOW, 115.0, UP),
+        KikoSpec(CALL, 100.0, 115.0, UP, 90.0, LOW),
+        KikoSpec(PUT, 100.0, 90.0, LOW, 115.0, UP),
+        KikoSpec(PUT, 100.0, 115.0, UP, 90.0, LOW),
+    ], ids=["call-in-low-out-high", "call-in-high-out-low",
+            "put-in-low-out-high", "put-in-high-out-low"])
+    def test_corridor_row_replication(self, spec):
+        # barriers straddle spot, strike in between: knock-out at the out
+        # barrier minus the corridor knock-out between both barriers
+        knock_out = price_single_barrier(ENV, SingleBarrierSpec(
+            spec.direction, spec.strike, spec.barrier_out, spec.side_out, OUT))
+        lower, upper = sorted((spec.barrier_in, spec.barrier_out))
+        corridor = koko_price(ENV, DoubleBarrierSpec(
+            spec.direction, spec.strike, lower, upper, OUT))
+        assert kiko_price(ENV, spec) == pytest.approx(knock_out - corridor, abs=1e-12)
 
     def test_same_side_put_row(self):
         env = MarketEnvironment(100.0, 0.03, 0.01, 0.2, 1.0)
@@ -196,6 +205,9 @@ class TestInOutPair:
         KikoSpec(CALL, 104.0, 92.0, LOW, 84.0, LOW),   # nested lower barriers
         KikoSpec(PUT, 96.0, 108.0, UP, 120.0, UP),
         KikoSpec(CALL, 100.0, 90.0, LOW, 115.0, UP),   # straddling corridor
+        KikoSpec(CALL, 100.0, 115.0, UP, 90.0, LOW),   # straddling, in-barrier above
+        KikoSpec(PUT, 104.0, 92.0, LOW, 112.0, UP),
+        KikoSpec(PUT, 105.0, 110.0, UP, 88.0, LOW),
     ])
     def test_replication_rows_against_mc(self, spec):
         closed = kiko_price(ENV, spec)

@@ -100,6 +100,7 @@ class TestGreeks:
             strike = env.spot * rng.uniform(0.7, 1.3)
             direction = rng.choice((CALL, PUT))
             greeks = gk_greeks(env, direction, strike)
+            assert greeks.value == gk_price(env, direction, strike)
             bumps = greek_oracle_bumps(env)
             p00, fd = richardson_fd(lambda e: gk_price(e, direction, strike), env, bumps)
             floors = fd_noise_floors(p00, env, bumps)
