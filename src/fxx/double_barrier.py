@@ -1,11 +1,11 @@
 """Double-barrier pricing: corridor knock-outs via a truncated image
 series, double knock-ins via parity, mixed in/out pairs via replication.
 
-The knock-out call/put series sums reflected-image terms indexed by
-``n``; five terms either side suffice at desk scales and a tail check
-warns when they do not. Greeks are produced by central finite
-differences on the truncated series (double knock-in Greeks follow from
-parity against the vanilla closed form).
+The knock-out call/put series (Ikeda & Kunitomo, 1992) sums
+reflected-image terms indexed by ``n``; five terms either side suffice at
+desk scales and a tail check warns when they do not. Greeks are produced
+by central finite differences on the truncated series (double knock-in
+Greeks follow from parity against the vanilla closed form).
 """
 
 import math
@@ -64,19 +64,23 @@ def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
                cfg: SeriesConfig = SeriesConfig()) -> float:
     """Double knock-out price from the truncated image series.
 
-    Requires L < K < U. The result is clamped to [0, vanilla]; if the
-    outermost terms exceed ``cfg.tail_tol`` a TruncationWarning is issued.
+    Any strike is accepted. The strike enters the d-terms only as the
+    limit of the payoff's range inside the corridor, so it is clipped to
+    [L, U] there while the cash leg keeps K; a call with K >= U or a put
+    with K <= L is worth exactly 0.0. The result is clamped to
+    [0, vanilla]; if the outermost terms exceed ``cfg.tail_tol`` a
+    TruncationWarning is issued.
     """
     if spec.knock != KnockType.OUT:
         raise PreconditionError("koko_price prices knock-out corridors only")
     spec.validate_against(env)
     K, L, U = spec.strike, spec.lower, spec.upper
-    if not (L < K < U):
-        raise PreconditionError(
-            f"corridor series needs lower < strike < upper, got {L}, {K}, {U}")
+    Kc = min(max(K, L), U)
+    phi = int(spec.direction)
+    if Kc == (U if phi > 0 else L):
+        return 0.0  # the payoff is zero everywhere inside the corridor
 
     S, T, sig = env.spot, env.T, env.sigma
-    phi = int(spec.direction)
     b = env.drift
     s = sig * math.sqrt(T)
     alpha = 2.0 * b / (sig * sig) + 1.0
@@ -94,15 +98,15 @@ def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
         lp_img_c = (alpha - 2.0) * n * ln_UL
         lp_ref_c = (alpha - 2.0) * ((n + 1) * ln_L - n * ln_U - ln_S)
         if phi > 0:
-            d1 = (math.log(S / K) + shift + nu_T) / s
+            d1 = (math.log(S / Kc) + shift + nu_T) / s
             d2 = (math.log(S / U) + shift + nu_T) / s
-            d3 = (math.log(L * L / (K * S)) - shift + nu_T) / s
+            d3 = (math.log(L * L / (Kc * S)) - shift + nu_T) / s
             d4 = (math.log(L * L / (S * U)) - shift + nu_T) / s
         else:
             d1 = (math.log(S / L) + shift + nu_T) / s
-            d2 = (math.log(S / K) + shift + nu_T) / s
+            d2 = (math.log(S / Kc) + shift + nu_T) / s
             d3 = (math.log(L / S) - shift + nu_T) / s
-            d4 = (math.log(L * L / (K * S)) - shift + nu_T) / s
+            d4 = (math.log(L * L / (Kc * S)) - shift + nu_T) / s
         term_asset = (_pow_times(lp_img, _ncdf_diff(d1, d2))
                       - _pow_times(lp_ref, _ncdf_diff(d3, d4)))
         term_cash = (_pow_times(lp_img_c, _ncdf_diff(d1 - s, d2 - s))
@@ -140,77 +144,50 @@ def _single_ko(env: MarketEnvironment, direction: OptionDirection, strike: float
         side=side, knock=KnockType.OUT))
 
 
-def _ko_either(env: MarketEnvironment, direction: OptionDirection, strike: float,
-               x: float, y: float, cfg: SeriesConfig) -> float:
-    """Price of an option knocked out by touching either of two levels.
-
-    With the levels straddling spot this is the corridor knock-out; with
-    both on one side only the inner level can be reached first, so it
-    degenerates to a single-barrier knock-out there.
-    """
-    lo, hi = min(x, y), max(x, y)
-    S = env.spot
-    if lo < S < hi:
-        phi = int(direction)
-        if (phi > 0 and strike >= hi) or (phi < 0 and strike <= lo):
-            return 0.0  # payoff region lies outside the corridor
-        return koko_price(env, DoubleBarrierSpec(
-            direction=direction, strike=strike, lower=lo, upper=hi,
-            knock=KnockType.OUT), cfg)
-    if S > hi:
-        return _single_ko(env, direction, strike, hi, BarrierSide.LOWER)
-    return _single_ko(env, direction, strike, lo, BarrierSide.UPPER)
-
-
-_C, _P = OptionDirection.CALL, OptionDirection.PUT
-_UP, _LOW = BarrierSide.UPPER, BarrierSide.LOWER
-
-# Classification rows for in/out barrier pairs: direction, the printed
-# strike/barrier inequality, the barrier sides it presumes and the rule tag.
-# Every row is priced by the same identity in ``kiko_price``.
-_KIKO_ROWS = (
-    (_C, lambda K, bi, bo: bi < K <= bo, _LOW, _UP, "in-low-out-high"),
-    (_C, lambda K, bi, bo: K <= bi < bo, _UP, _UP, "both-high-in-near"),
-    (_C, lambda K, bi, bo: K <= bo < bi, _UP, _UP, "both-high-in-far"),
-    (_C, lambda K, bi, bo: bi < bo < K, _LOW, _LOW, "both-low-in-far"),
-    (_C, lambda K, bi, bo: bo < bi < K, _LOW, _LOW, "both-low-in-near"),
-    (_C, lambda K, bi, bo: bo < K <= bi, _UP, _LOW, "in-high-out-low"),
-    (_P, lambda K, bi, bo: bi <= K < bo, _LOW, _UP, "in-low-out-high"),
-    (_P, lambda K, bi, bo: K < bi < bo, _UP, _UP, "both-high-in-near"),
-    (_P, lambda K, bi, bo: K <= bo < bi, _UP, _UP, "both-high-in-far"),
-    (_P, lambda K, bi, bo: bi < bo <= K, _LOW, _LOW, "both-low-in-far"),
-    (_P, lambda K, bi, bo: bo < bi <= K, _LOW, _LOW, "both-low-in-near"),
-    (_P, lambda K, bi, bo: bo <= K < bi, _UP, _LOW, "in-high-out-low"),
-)
-
-
 def classify_kiko(spec: KikoSpec) -> str:
-    """Rule identifier of the replication row matching a KIKO spec."""
-    for direction, matcher, side_in, side_out, rule in _KIKO_ROWS:
-        if (spec.direction == direction
-                and matcher(spec.strike, spec.barrier_in, spec.barrier_out)
-                and spec.side_in == side_in and spec.side_out == side_out):
-            kind = "call" if direction == _C else "put"
-            return f"KIKO-{kind}-{rule}"
-    raise ClassificationError(
-        f"no replication row matches direction={spec.direction.name}, "
-        f"K={spec.strike}, in={spec.barrier_in}({spec.side_in.name}), "
-        f"out={spec.barrier_out}({spec.side_out.name}); barrier sides are "
-        "inconsistent with the strike/barrier inequalities")
+    """Rule identifier of a KIKO spec, read from its barrier sides and order.
+
+    Opposite sides give ``in-low-out-high`` or ``in-high-out-low`` (the
+    barriers straddle spot). Equal sides give ``both-{high,low}-in-near``
+    when the in barrier lies between spot and the out barrier and
+    ``both-{high,low}-in-far`` otherwise. The strike plays no part. Sides
+    that contradict the barrier order (a lower barrier above an upper one)
+    raise ClassificationError.
+    """
+    kind = "call" if spec.direction == OptionDirection.CALL else "put"
+    in_low = spec.side_in == BarrierSide.LOWER
+    in_below = spec.barrier_in < spec.barrier_out
+    side_in = "low" if in_low else "high"
+    if spec.side_in == spec.side_out:
+        # below spot the nearer barrier is the higher one, above spot the lower
+        return f"KIKO-{kind}-both-{side_in}-in-{'far' if in_below == in_low else 'near'}"
+    if in_below != in_low:
+        raise ClassificationError(
+            f"in barrier {spec.barrier_in} ({spec.side_in.name}) and out barrier "
+            f"{spec.barrier_out} ({spec.side_out.name}): a lower barrier must lie "
+            "below an upper one")
+    return f"KIKO-{kind}-in-{side_in}-out-{'high' if in_low else 'low'}"
 
 
 def kiko_price(env: MarketEnvironment, spec: KikoSpec,
                cfg: SeriesConfig = SeriesConfig()) -> float:
     """Knock-in/knock-out pair: pays when the in barrier is touched and the
     out barrier is not, which is the knock-out at the out barrier minus the
-    option knocked out by touching either barrier."""
+    option knocked out by touching either barrier. That second leg is the
+    knock-out at the in barrier when it is the nearer of two same-side
+    barriers, and the corridor knock-out when the barriers straddle spot."""
     spec.validate_against(env)
-    classify_kiko(spec)  # rejects layouts no row covers
-    K, bi, bo = spec.strike, spec.barrier_in, spec.barrier_out
-    if spec.side_in == spec.side_out and abs(bi - env.spot) > abs(bo - env.spot):
+    rule = classify_kiko(spec)
+    if rule.endswith("-far"):
         return 0.0  # every path reaching the in barrier crosses the out barrier first
-    return (_single_ko(env, spec.direction, K, bo, spec.side_out)
-            - _ko_either(env, spec.direction, K, bi, bo, cfg))
+    K = spec.strike
+    knock_out = _single_ko(env, spec.direction, K, spec.barrier_out, spec.side_out)
+    if rule.endswith("-near"):
+        return knock_out - _single_ko(env, spec.direction, K, spec.barrier_in, spec.side_in)
+    lower, upper = sorted((spec.barrier_in, spec.barrier_out))
+    return knock_out - koko_price(env, DoubleBarrierSpec(
+        direction=spec.direction, strike=K, lower=lower, upper=upper,
+        knock=KnockType.OUT), cfg)
 
 
 _MIN_REL_BUMP = 1e-12

@@ -15,7 +15,8 @@ class PreconditionError(PricingError, ValueError):
 
 
 class ClassificationError(PreconditionError):
-    """A barrier configuration matches no pricing rule."""
+    """A barrier configuration contradicts itself, e.g. a barrier flagged as
+    lower lying above one flagged as upper, so no pricing rule applies."""
 
 
 class NumericalError(PricingError, ArithmeticError):

@@ -33,10 +33,14 @@ def d1_d2(env: MarketEnvironment, strike: float) -> tuple:
     return d1, d1 - s
 
 
-def gk_price(env: MarketEnvironment, direction: OptionDirection, strike: float) -> float:
-    """Vanilla FX option price under flat rates and volatility."""
+def _check_strike(strike: float) -> None:
     if strike <= 0.0 or not math.isfinite(strike):
         raise DomainError(f"strike must be positive and finite, got {strike!r}")
+
+
+def gk_price(env: MarketEnvironment, direction: OptionDirection, strike: float) -> float:
+    """Vanilla FX option price under flat rates and volatility."""
+    _check_strike(strike)
     phi = int(direction)
     df_f = math.exp(-env.r_f * env.T)
     df_d = math.exp(-env.r_d * env.T)
@@ -73,4 +77,5 @@ def _kernel_direct(env: MarketEnvironment, phi: int, strike: float,
 def gk_greeks(env: MarketEnvironment, direction: OptionDirection, strike: float) -> GreekSet:
     """Vanilla value plus delta/vega/vanna/volga in closed form: the direct
     kernel with the strike as log reference, so ``.value`` is ``gk_price``."""
+    _check_strike(strike)
     return _kernel_direct(env, int(direction), strike, strike)

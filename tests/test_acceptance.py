@@ -3,14 +3,17 @@ with its measured margin so a `pytest -s` run reads as a checklist."""
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 from support import barrier_grid, compare_parameter_greeks, in_out_pair
 
+import fxx
 from fxx import (BarrierSide, DoubleBarrierSpec, KikoSpec, KnockType,
                  MarketEnvironment, McConfig, OptionDirection, PivotQuotes,
                  SeriesConfig, SingleBarrierSpec, VanillaSpec, build_pivots,
@@ -212,6 +215,11 @@ def test_criterion_8_mc_check_determinism(tmp_path):
         "contract": {"type": "single_barrier", "direction": "call",
                      "strike": 100.0, "barrier": 85.0, "side": "lower",
                      "knock": "out"}}))
+    # the child imports the same fxx as this process, installed or not
+    src = str(Path(fxx.__file__).resolve().parent.parent)
+    child_env = dict(os.environ)
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))
     outputs = set()
     runs = 0
     for threads in (1, 4, 8):
@@ -220,7 +228,7 @@ def test_criterion_8_mc_check_determinism(tmp_path):
                 [sys.executable, "-m", "fxx.cli", "mc-check", str(request),
                  "--paths", "8000", "--steps", "40", "--seed", "9", "--bridge",
                  "--threads", str(threads)],
-                capture_output=True, check=True)
+                capture_output=True, check=True, env=child_env)
             outputs.add(proc.stdout)
             runs += 1
     assert len(outputs) == 1

@@ -9,8 +9,9 @@ from fxx import (BarrierSide, DoubleBarrierSpec, KikoSpec, KnockType,
                  ClassificationError, MarketEnvironment, McConfig, OptionDirection,
                  PreconditionError, SeriesConfig, TruncationWarning, gk_greeks,
                  gk_price, kiki_greeks, kiki_price, kiko_greeks, kiko_price,
-                 koko_greeks, koko_price, mc_price, price_single_barrier,
-                 SingleBarrierSpec)
+                 koko_greeks, koko_price, mc_price, mc_price_batch,
+                 price_single_barrier, SingleBarrierSpec)
+from fxx.double_barrier import classify_kiko
 
 CALL, PUT = OptionDirection.CALL, OptionDirection.PUT
 UP, LOW = BarrierSide.UPPER, BarrierSide.LOWER
@@ -70,18 +71,26 @@ class TestKnockOutCorridor:
 
     @pytest.mark.parametrize("phi,direction", [(1, CALL), (-1, PUT)])
     def test_against_corridor_density(self, phi, direction):
+        # strikes outside the corridor on the payoff side clip to the barrier
+        clipped = (70.0, 85.0) if phi > 0 else (115.0, 130.0)
         for strike, lower, upper in ((100.0, 85.0, 115.0), (100.0, 90.0, 112.0),
-                                     (95.0, 80.0, 120.0)):
+                                     (95.0, 80.0, 120.0),
+                                     *((k, 85.0, 115.0) for k in clipped)):
             spec = DoubleBarrierSpec(direction, strike, lower, upper, OUT)
             series = koko_price(ENV, spec)
             oracle = corridor_density_price(ENV, strike, lower, upper, phi)
             assert series == pytest.approx(oracle, abs=5e-7, rel=1e-6)
 
     def test_against_mc(self):
-        spec = DoubleBarrierSpec(CALL, 100.0, 85.0, 115.0, OUT)
-        closed = koko_price(ENV, spec)
-        est = mc_price(ENV, spec, McConfig(n_paths=150_000, n_steps=400, seed=9))
-        assert abs(closed - est.price) < 3.0 * est.std_error
+        # the strike inside the corridor, then clipped to the lower (call)
+        # or upper (put) barrier
+        specs = [DoubleBarrierSpec(direction, strike, 85.0, 115.0, OUT)
+                 for direction, strike in ((CALL, 100.0), (CALL, 70.0), (CALL, 85.0),
+                                           (PUT, 115.0), (PUT, 130.0))]
+        estimates = mc_price_batch(ENV, specs, McConfig(n_paths=150_000, n_steps=400, seed=9))
+        for spec, est in zip(specs, estimates):
+            closed = koko_price(ENV, spec)
+            assert abs(closed - est.price) < 3.0 * est.std_error, spec
 
     def test_truncation_stability(self):
         rng = random.Random(12)
@@ -109,11 +118,13 @@ class TestKnockOutCorridor:
             warnings.simplefilter("error", TruncationWarning)
             koko_price(ENV, spec)
 
-    def test_strike_outside_corridor_rejected(self):
-        with pytest.raises(PreconditionError):
-            koko_price(ENV, DoubleBarrierSpec(CALL, 120.0, 85.0, 115.0, OUT))
-        with pytest.raises(PreconditionError):
-            koko_price(ENV, DoubleBarrierSpec(CALL, 80.0, 85.0, 115.0, OUT))
+    def test_payoff_outside_corridor_worthless(self):
+        # a call struck at or above U, a put at or below L: no payoff
+        # inside the corridor, so the knock-in is the whole vanilla
+        for direction, strike in ((CALL, 115.0), (CALL, 130.0), (PUT, 85.0), (PUT, 70.0)):
+            spec = DoubleBarrierSpec(direction, strike, 85.0, 115.0, OUT)
+            assert koko_price(ENV, spec) == 0.0
+            assert kiki_price(ENV, replace(spec, knock=IN)) == gk_price(ENV, direction, strike)
 
     def test_wrong_knock_rejected(self):
         with pytest.raises(PreconditionError):
@@ -208,6 +219,9 @@ class TestInOutPair:
         KikoSpec(CALL, 100.0, 115.0, UP, 90.0, LOW),   # straddling, in-barrier above
         KikoSpec(PUT, 104.0, 92.0, LOW, 112.0, UP),
         KikoSpec(PUT, 105.0, 110.0, UP, 88.0, LOW),
+        KikoSpec(CALL, 115.0, 110.0, UP, 125.0, UP),   # strike between same-side barriers
+        KikoSpec(CALL, 85.0, 90.0, LOW, 115.0, UP),    # straddling, strike below the in barrier
+        KikoSpec(PUT, 88.0, 92.0, LOW, 84.0, LOW),     # strike between same-side barriers
     ])
     def test_replication_rows_against_mc(self, spec):
         closed = kiko_price(ENV, spec)
@@ -215,11 +229,12 @@ class TestInOutPair:
         assert abs(closed - est.price) < 3.0 * est.std_error
 
     def test_inconsistent_sides_rejected(self):
-        # both barriers below the strike, but the knock-out side claims the
-        # barrier sits above spot: no replication row covers that layout
-        env = MarketEnvironment(100.0, 0.02, 0.01, 0.2, 0.5)
+        # the lower in barrier sits above the upper out barrier
         with pytest.raises(ClassificationError):
-            kiko_price(env, KikoSpec(CALL, 150.0, 90.0, LOW, 110.0, UP))
+            classify_kiko(KikoSpec(CALL, 100.0, 110.0, LOW, 90.0, UP))
+        # a straddling call struck above both barriers is worth zero, not rejected
+        env = MarketEnvironment(100.0, 0.02, 0.01, 0.2, 0.5)
+        assert kiko_price(env, KikoSpec(CALL, 150.0, 90.0, LOW, 110.0, UP)) == 0.0
 
 
 class TestCorridorGreeks:

@@ -60,6 +60,9 @@ class TestPrice:
     def test_rejects_bad_strike(self):
         with pytest.raises(DomainError):
             gk_price(ENV, CALL, -5.0)
+        for strike in (-5.0, 0.0, math.inf):
+            with pytest.raises(DomainError):
+                gk_greeks(ENV, CALL, strike)
 
 
 class TestGreeks:
