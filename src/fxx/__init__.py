@@ -1,5 +1,12 @@
 """FX vanilla and barrier option pricing with analytic Greeks, a
-Vanna-Volga smile adjustment and a seeded Monte Carlo cross-check engine."""
+Vanna-Volga smile adjustment and a seeded Monte Carlo cross-check engine.
+
+The closed forms are pure Python. The Monte Carlo and Vanna-Volga names
+need numpy (and scipy), so their modules load on first access to one of
+their names, and a process that only prices never imports them.
+"""
+
+import importlib
 
 from .contracts import (BarrierSide, DoubleBarrierSpec, GreekSet, KikoSpec,
                         KnockType, MarketEnvironment, OptionDirection,
@@ -11,15 +18,21 @@ from .errors import (ClassificationError, DomainError, IllConditionedError,
                      NumericalError, PreconditionError, PricingError,
                      TruncationWarning)
 from .greeks_fd import FdBumps, fd_greeks
-from .mc_oracle import McConfig, McEstimate, mc_price, mc_price_batch
 from .num_core import erf, erfc, inv_std_normal_cdf, std_normal_cdf, std_normal_pdf
 from .router import greeks_contract, price_contract
 from .single_barrier import (AbcdValues, abcd, greeks_abcd, greeks_single_barrier,
                              price_single_barrier)
 from .vanilla import gk_greeks, gk_price
-from .vanna_volga import (Pivot, PivotQuotes, PivotSet, PivotSystem, VVResult,
-                          atm_strike, build_pivot_system, build_pivots,
-                          solve_delta_strike, vv_price, vv_weights)
+
+# public name -> submodule that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(("McConfig", "McEstimate", "mc_price", "mc_price_batch"),
+                    "mc_oracle"),
+    **dict.fromkeys(("Pivot", "PivotQuotes", "PivotSet", "PivotSystem", "VVResult",
+                     "atm_strike", "build_pivot_system", "build_pivots",
+                     "solve_delta_strike", "vv_price", "vv_weights"),
+                    "vanna_volga"),
+}
 
 __version__ = "0.1.0"
 
@@ -38,3 +51,12 @@ __all__ = [
     "price_contract", "price_single_barrier", "solve_delta_strike",
     "std_normal_cdf", "std_normal_pdf", "vv_price", "vv_weights",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

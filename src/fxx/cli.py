@@ -19,10 +19,8 @@ from .contracts import DoubleBarrierSpec, KnockType, MarketEnvironment, VanillaS
 from .double_barrier import SeriesConfig
 from .errors import NumericalError, PricingError
 from .greeks_fd import FdBumps
-from .mc_oracle import McConfig, mc_price_batch
 from .router import _CONTRACTS, greeks_contract, price_contract
 from .vanilla import d1_d2
-from .vanna_volga import PivotQuotes, vv_price
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -138,7 +136,10 @@ def parse_request(path: str) -> tuple:
     return env, cls(**{attr: fields[name] for name, attr in entry.fields.items()})
 
 
-def parse_quotes(path: str) -> PivotQuotes:
+def parse_quotes(path: str):
+    """Read a smile quotes file into a PivotQuotes."""
+    from .vanna_volga import PivotQuotes  # numpy: only vv-price loads it
+
     doc = _load_json(path)
     fields = _take(doc, path, {"atm_vol": float},
                    {"rr_25": float, "bf_25": float})
@@ -187,6 +188,8 @@ def _cmd_greeks(args) -> int:
 
 
 def _cmd_vv_price(args) -> int:
+    from .vanna_volga import vv_price
+
     env, spec = parse_request(args.request)
     quotes = parse_quotes(args.quotes)
     result = vv_price(env, spec, quotes, _series_config())
@@ -203,6 +206,8 @@ def _cmd_vv_price(args) -> int:
 
 
 def _cmd_mc_check(args) -> int:
+    from .mc_oracle import McConfig, mc_price_batch  # numpy and scipy
+
     env, spec = parse_request(args.request)
     cfg = McConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed,
                    bridge_correction=args.bridge)
@@ -214,13 +219,20 @@ def _cmd_mc_check(args) -> int:
                   VanillaSpec(spec.direction, spec.strike)]
     estimates = mc_price_batch(env, specs, cfg, threads=args.threads)
     est = estimates[0]
-    z = (closed - est.price) / est.std_error if est.std_error > 0.0 else 0.0
+    if est.std_error > 0.0:
+        z = (closed - est.price) / est.std_error
+    else:  # a zero-variance estimate has no scale to measure a gap with
+        z = 0.0 if closed == est.price else None
     record = {"command": "mc-check", "contract": type(spec).__name__, "rule": rule,
               "closed_form": closed, "mc_price": est.price,
               "std_error": est.std_error, "z_score": z, "paths": args.paths,
               "steps": args.steps, "seed": args.seed, "bridge": args.bridge}
     if len(estimates) == 3:
         record["parity_mc_price"] = estimates[2].price - estimates[1].price
+    if z is None:
+        record["warnings"] = [
+            f"the Monte Carlo estimate has zero variance over {args.paths} paths, "
+            "so no z-score measures its distance from the closed form"]
     _emit(record)
     return EXIT_OK
 

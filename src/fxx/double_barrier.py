@@ -18,6 +18,7 @@ from .contracts import (BarrierSide, DoubleBarrierSpec, GreekSet, KikoSpec,
 from .errors import (ClassificationError, NumericalError, PreconditionError,
                      TruncationWarning)
 from .greeks_fd import FdBumps, fd_greeks
+from .num_core import log_ratio
 from .num_core import std_normal_cdf as _N
 from .single_barrier import price_single_barrier
 from .vanilla import gk_greeks, gk_price
@@ -85,8 +86,15 @@ def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
     s = sig * math.sqrt(T)
     alpha = 2.0 * b / (sig * sig) + 1.0
     nu_T = (b + 0.5 * sig * sig) * T
-    ln_UL = math.log(U / L)
+    ln_UL = log_ratio(U, L)
     ln_L, ln_U, ln_S = math.log(L), math.log(U), math.log(S)
+    # log arguments of d1..d4 at n = 0; the image shift adds to them
+    if phi > 0:
+        x1, x2 = log_ratio(S, Kc), log_ratio(S, U)
+        x3, x4 = log_ratio(L * L, Kc * S), log_ratio(L * L, S * U)
+    else:
+        x1, x2 = log_ratio(S, L), log_ratio(S, Kc)
+        x3, x4 = log_ratio(L, S), log_ratio(L * L, Kc * S)
 
     sum_asset = 0.0
     sum_cash = 0.0
@@ -97,16 +105,10 @@ def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
         lp_ref = alpha * ((n + 1) * ln_L - n * ln_U - ln_S)   # (L^{n+1}/(U^n S))^alpha
         lp_img_c = (alpha - 2.0) * n * ln_UL
         lp_ref_c = (alpha - 2.0) * ((n + 1) * ln_L - n * ln_U - ln_S)
-        if phi > 0:
-            d1 = (math.log(S / Kc) + shift + nu_T) / s
-            d2 = (math.log(S / U) + shift + nu_T) / s
-            d3 = (math.log(L * L / (Kc * S)) - shift + nu_T) / s
-            d4 = (math.log(L * L / (S * U)) - shift + nu_T) / s
-        else:
-            d1 = (math.log(S / L) + shift + nu_T) / s
-            d2 = (math.log(S / Kc) + shift + nu_T) / s
-            d3 = (math.log(L / S) - shift + nu_T) / s
-            d4 = (math.log(L * L / (Kc * S)) - shift + nu_T) / s
+        d1 = (x1 + shift + nu_T) / s
+        d2 = (x2 + shift + nu_T) / s
+        d3 = (x3 - shift + nu_T) / s
+        d4 = (x4 - shift + nu_T) / s
         term_asset = (_pow_times(lp_img, _ncdf_diff(d1, d2))
                       - _pow_times(lp_ref, _ncdf_diff(d3, d4)))
         term_cash = (_pow_times(lp_img_c, _ncdf_diff(d1 - s, d2 - s))

@@ -7,7 +7,7 @@ which the closed-form Greek expressions rely on.
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -30,6 +30,21 @@ def std_normal_cdf(z: float) -> float:
     """P(Z <= z) for a standard normal Z, accurate in both tails."""
     z = _require_finite(z, "z")
     return 0.5 * math.erfc(-z / _SQRT2)
+
+
+def log_ratio(num: float, den: float) -> float:
+    """log(num / den) of two positive levels or products of levels that a
+    kernel computed. A quotient that leaves the double range (overflow,
+    inf/inf or underflow to zero) raises NumericalError: the inputs were
+    valid, the arithmetic was not."""
+    try:
+        x = math.log(num / den)
+    except (ZeroDivisionError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise NumericalError(f"log({num!r} / {den!r}) leaves the double range; "
+                             "the inputs are outside the closed form's numerical range")
+    return x
 
 
 def erf(x: float) -> float:

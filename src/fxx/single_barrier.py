@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .contracts import (BarrierSide, GreekSet, MarketEnvironment, OptionDirection,
                         SingleBarrierSpec, classify_single_barrier)
 from .errors import DomainError, NumericalError, PreconditionError
+from .num_core import log_ratio
 from .num_core import std_normal_cdf as _N
 from .num_core import std_normal_pdf as _n
 from .vanilla import _check_env, _kernel_direct
@@ -50,7 +51,7 @@ def _kernel_reflected(env: MarketEnvironment, phi: int, eta: int, strike: float,
     F = math.exp(-env.r_f * T)
     D = math.exp(-env.r_d * T)
     g = 2.0 * env.drift / (sig * sig)
-    lam = math.log(barrier / S)
+    lam = log_ratio(barrier, S)
     pow_hi = (g + 1.0) * lam
     pow_lo = (g - 1.0) * lam
     # 690 leaves room for the spot/strike factors before the double range ends
@@ -60,7 +61,7 @@ def _kernel_reflected(env: MarketEnvironment, phi: int, eta: int, strike: float,
             f"overflows for barrier/spot={barrier / S!r}, sigma={sig!r}")
     Lf = S * F * math.exp(pow_hi)
     Ld = strike * D * math.exp(pow_lo)
-    lnZ = math.log(barrier * barrier / (S * strike)) if mirror_strike else lam
+    lnZ = log_ratio(barrier * barrier, S * strike) if mirror_strike else lam
     y = (lnZ + (env.drift + 0.5 * sig * sig) * T) / s
     e = y - s
     Ny, Ne = _N(eta * y), _N(eta * e)

@@ -10,6 +10,7 @@ import math
 
 from .contracts import GreekSet, MarketEnvironment, OptionDirection
 from .errors import DomainError
+from .num_core import log_ratio
 from .num_core import std_normal_cdf as _N
 from .num_core import std_normal_pdf as _n
 
@@ -29,7 +30,7 @@ def _check_env(env: MarketEnvironment) -> float:
 
 def d1_d2(env: MarketEnvironment, strike: float) -> tuple:
     s = env.sigma * math.sqrt(env.T)
-    d1 = (math.log(env.spot / strike) + (env.drift + 0.5 * env.sigma * env.sigma) * env.T) / s
+    d1 = (log_ratio(env.spot, strike) + (env.drift + 0.5 * env.sigma * env.sigma) * env.T) / s
     return d1, d1 - s
 
 

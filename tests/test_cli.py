@@ -120,6 +120,22 @@ class TestPrice:
         assert code == 4
         assert "overflow" in err
 
+    @pytest.mark.parametrize("spot,contract", [
+        (1e300, {"type": "single_barrier", "direction": "call", "strike": 1e300,
+                 "barrier": 5e299, "side": "lower", "knock": "out"}),
+        (1e300, {"type": "double_barrier", "direction": "call", "strike": 1e300,
+                 "lower_barrier": 8e299, "upper_barrier": 1.2e300, "knock": "out"}),
+        (1e-200, {"type": "single_barrier", "direction": "put", "strike": 1e-200,
+                  "barrier": 1.5e-200, "side": "upper", "knock": "in"}),
+        (1e-200, {"type": "vanilla", "direction": "call", "strike": 1e200}),
+    ], ids=["single_barrier_1e300", "double_barrier_1e300", "single_barrier_1e-200",
+            "vanilla_1e-200"])
+    def test_out_of_range_intermediate_exits_4(self, tmp_path, capsys, spot, contract):
+        market = dict(MARKET, spot=spot)
+        code, out, err = run(capsys, "price", write_request(tmp_path, contract, market))
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"] == "numerical"
+
     def test_seventeen_digit_output(self, tmp_path, capsys):
         _, out, _ = run(capsys, "price", write_request(tmp_path, VANILLA))
         assert "8.8273212253521223" in out
@@ -204,6 +220,28 @@ class TestMcCheck:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    @pytest.mark.parametrize("in_barrier,z_score", [(110.0, None), (130.0, 0.0)],
+                             ids=["in-near", "in-far"])
+    def test_zero_variance_z_score(self, tmp_path, capsys, in_barrier, z_score):
+        # five paths, none of which touches the in barrier: the estimate is
+        # exactly 0 with zero variance; in-near is worth 0.2, in-far exactly 0
+        contract = {"type": "kiko", "direction": "call", "strike": 115.0,
+                    "in_barrier": in_barrier, "in_side": "upper",
+                    "out_barrier": 125.0, "out_side": "upper"}
+        code, out, _ = run(capsys, "mc-check",
+                           write_request(tmp_path, contract, dict(MARKET, maturity=0.5)),
+                           "--paths", "5", "--steps", "20", "--seed", "4")
+        assert code == 0
+        record = record_of(out)
+        assert (record["mc_price"], record["std_error"]) == (0.0, 0.0)
+        assert record["z_score"] == z_score
+        if z_score is None:
+            assert record["closed_form"] > 0.1
+            assert any("zero variance" in w for w in record["warnings"])
+        else:
+            assert record["closed_form"] == 0.0
+            assert "warnings" not in record
 
     def test_kiki_parity_report(self, tmp_path, capsys):
         contract = {"type": "double_barrier", "direction": "call", "strike": 100.0,

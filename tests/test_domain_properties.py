@@ -1,8 +1,11 @@
-"""Properties of the double-barrier domain over random layouts: the closed
-forms accept exactly the contracts the Monte Carlo engine accepts, corridor
-parity holds for any strike, and a KIKO rule id depends on the barriers
+"""Properties of the barrier closed forms over random layouts: the closed
+forms accept exactly the contracts the Monte Carlo engine accepts, in/out
+parity holds for single barriers and corridors at any strike, barrier
+prices lie between 0 and the vanilla, a corridor knock-out is worth no more
+than either single knock-out, and a KIKO rule id depends on the barriers
 alone."""
 
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -11,7 +14,8 @@ from hypothesis import strategies as st
 
 from fxx import (BarrierSide, DoubleBarrierSpec, KikoSpec, KnockType,
                  MarketEnvironment, McConfig, OptionDirection, PricingError,
-                 gk_price, kiki_price, koko_price, mc_price, price_contract)
+                 SingleBarrierSpec, TruncationWarning, gk_price, kiki_price,
+                 koko_price, mc_price, price_contract, price_single_barrier)
 from fxx.double_barrier import classify_kiko
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -25,19 +29,30 @@ moneyness = st.floats(0.5, 1.5)
 directions = st.sampled_from((OptionDirection.CALL, OptionDirection.PUT))
 
 
+def _place(draw, spot: float) -> tuple:
+    """(level, side) of a barrier on a random side of spot."""
+    factor = draw(distances)
+    if draw(st.booleans()):
+        return spot * factor, BarrierSide.UPPER
+    return spot / factor, BarrierSide.LOWER
+
+
+@st.composite
+def singles(draw, knock=KnockType.OUT):
+    """(env, SingleBarrierSpec) with the barrier on a random side of spot;
+    any strike."""
+    env = draw(markets)
+    barrier, side = _place(draw, env.spot)
+    return env, SingleBarrierSpec(draw(directions), env.spot * draw(moneyness),
+                                  barrier, side, knock)
+
+
 @st.composite
 def kikos(draw):
     """(env, KikoSpec) with each barrier on a random side of spot and its
     side flag consistent with that placement; any strike."""
     env = draw(markets)
-    levels = []
-    for _ in range(2):
-        factor = draw(distances)
-        if draw(st.booleans()):
-            levels.append((env.spot * factor, BarrierSide.UPPER))
-        else:
-            levels.append((env.spot / factor, BarrierSide.LOWER))
-    (b_in, side_in), (b_out, side_out) = levels
+    (b_in, side_in), (b_out, side_out) = (_place(draw, env.spot) for _ in range(2))
     assume(b_in != b_out)
     return env, KikoSpec(draw(directions), env.spot * draw(moneyness),
                          b_in, side_in, b_out, side_out)
@@ -86,3 +101,41 @@ def test_corridor_parity_for_any_strike(case):
 def test_kiko_rule_ignores_strike(case, other):
     env, spec = case
     assert classify_kiko(replace(spec, strike=env.spot * other)) == classify_kiko(spec)
+
+
+def _vanilla(env, spec) -> float:
+    return gk_price(env, spec.direction, spec.strike)
+
+
+@PROPERTY
+@given(singles())
+def test_single_barrier_in_plus_out_is_vanilla(case):
+    env, out_spec = case
+    in_spec = replace(out_spec, knock=KnockType.IN)
+    vanilla = _vanilla(env, out_spec)
+    total = price_single_barrier(env, in_spec) + price_single_barrier(env, out_spec)
+    assert abs(total - vanilla) <= 1e-10 * max(1.0, vanilla)
+
+
+@PROPERTY
+@given(st.one_of(singles(KnockType.OUT), singles(KnockType.IN),
+                 corridors(KnockType.OUT), corridors(KnockType.IN)))
+@pytest.mark.filterwarnings("ignore::fxx.errors.TruncationWarning")
+def test_barrier_price_between_zero_and_vanilla(case):
+    env, spec = case
+    price, _rule = price_contract(env, spec)
+    assert 0.0 <= price <= _vanilla(env, spec)
+
+
+@PROPERTY
+@given(corridors())
+def test_corridor_knock_out_below_both_single_knock_outs(case):
+    env, spec = case
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        koko = koko_price(env, spec)
+    assume(not any(issubclass(w.category, TruncationWarning) for w in caught))
+    singles_out = [price_single_barrier(env, SingleBarrierSpec(
+        spec.direction, spec.strike, level, side, KnockType.OUT))
+        for level, side in ((spec.lower, BarrierSide.LOWER), (spec.upper, BarrierSide.UPPER))]
+    assert koko <= min(singles_out) + 1e-10 * max(1.0, _vanilla(env, spec))
