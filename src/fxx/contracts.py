@@ -233,21 +233,26 @@ _TABLE_ROWS = {
 }
 
 
+def _table_row(key: tuple, name: str, coefficients: tuple) -> TableRow:
+    phi, eta, knock, _strike_above = key
+    reverse = name.startswith("Reverse")
+    side_tag = "U" if eta == BarrierSide.UPPER else "D"
+    knock_tag = "I" if knock == KnockType.IN else "O"
+    kind = "call" if phi == 1 else "put"
+    rule_id = f"{side_tag}{knock_tag}-{kind}-{'reverse' if reverse else 'standard'}"
+    return TableRow(name=name, rule_id=rule_id, phi=phi, eta=eta,
+                    reverse=reverse, coefficients=coefficients)
+
+
+_TABLE = {key: _table_row(key, *row) for key, row in _TABLE_ROWS.items()}
+
+
 def classify_single_barrier(spec: SingleBarrierSpec) -> TableRow:
     """Map a single-barrier spec to its unique pricing-table row.
 
     The strike/barrier boundary follows the table conventions exactly:
     standard rows require ``K > B``, reverse rows take ``K <= B`` for
-    calls and the mirrored inequalities for puts.
+    calls and the mirrored inequalities for puts. The 16 rows are built
+    once, at import.
     """
-    phi = int(spec.direction)
-    eta = int(spec.side)
-    key = (phi, eta, spec.knock, spec.strike > spec.barrier)
-    name, coefficients = _TABLE_ROWS[key]
-    reverse = name.startswith("Reverse")
-    side_tag = "U" if spec.side == BarrierSide.UPPER else "D"
-    knock_tag = "I" if spec.knock == KnockType.IN else "O"
-    kind = "call" if phi == 1 else "put"
-    rule_id = f"{side_tag}{knock_tag}-{kind}-{'reverse' if reverse else 'standard'}"
-    return TableRow(name=name, rule_id=rule_id, phi=phi, eta=eta,
-                    reverse=reverse, coefficients=coefficients)
+    return _TABLE[spec.direction, spec.side, spec.knock, spec.strike > spec.barrier]

@@ -20,7 +20,7 @@ from .errors import (ClassificationError, NumericalError, PreconditionError,
 from .greeks_fd import FdBumps, fd_greeks
 from .num_core import log_ratio
 from .num_core import std_normal_cdf as _N
-from .single_barrier import price_single_barrier
+from .single_barrier import _NEGATIVE_CLAMP, price_single_barrier
 from .vanilla import gk_greeks, gk_price
 
 # leaves room for the spot/strike prefactors before the double range ends
@@ -177,7 +177,8 @@ def kiko_price(env: MarketEnvironment, spec: KikoSpec,
     out barrier is not, which is the knock-out at the out barrier minus the
     option knocked out by touching either barrier. That second leg is the
     knock-out at the in barrier when it is the nearer of two same-side
-    barriers, and the corridor knock-out when the barriers straddle spot."""
+    barriers, and the corridor knock-out when the barriers straddle spot.
+    A difference in [-1e-10, 0) is round-off and returns 0.0."""
     spec.validate_against(env)
     rule = classify_kiko(spec)
     if rule.endswith("-far"):
@@ -185,11 +186,13 @@ def kiko_price(env: MarketEnvironment, spec: KikoSpec,
     K = spec.strike
     knock_out = _single_ko(env, spec.direction, K, spec.barrier_out, spec.side_out)
     if rule.endswith("-near"):
-        return knock_out - _single_ko(env, spec.direction, K, spec.barrier_in, spec.side_in)
-    lower, upper = sorted((spec.barrier_in, spec.barrier_out))
-    return knock_out - koko_price(env, DoubleBarrierSpec(
-        direction=spec.direction, strike=K, lower=lower, upper=upper,
-        knock=KnockType.OUT), cfg)
+        price = knock_out - _single_ko(env, spec.direction, K, spec.barrier_in, spec.side_in)
+    else:
+        lower, upper = sorted((spec.barrier_in, spec.barrier_out))
+        price = knock_out - koko_price(env, DoubleBarrierSpec(
+            direction=spec.direction, strike=K, lower=lower, upper=upper,
+            knock=KnockType.OUT), cfg)
+    return 0.0 if -_NEGATIVE_CLAMP <= price < 0.0 else price
 
 
 _MIN_REL_BUMP = 1e-12

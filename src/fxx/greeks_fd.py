@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .contracts import GreekSet, MarketEnvironment
-from .errors import PricingError
+from .errors import NumericalError, PricingError
 
 Pricer = Callable[[MarketEnvironment], float]
 
@@ -24,12 +24,15 @@ class FdBumps:
 
 
 class StencilEvaluationError(PricingError):
-    """The pricer failed at one of the bump points."""
+    """The pricer failed at one of the bump points for a reason other than
+    lost numerical validity."""
 
 
 def _eval(pricer: Pricer, env: MarketEnvironment, spot: float, sigma: float) -> float:
     try:
         return pricer(replace(env, spot=spot, sigma=sigma))
+    except NumericalError:
+        raise  # the arithmetic failed, not the stencil: keep the type (exit 4)
     except Exception as exc:
         raise StencilEvaluationError(
             f"pricer failed at stencil point spot={spot!r}, sigma={sigma!r}: {exc}"

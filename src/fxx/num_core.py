@@ -28,7 +28,9 @@ def std_normal_pdf(x: float) -> float:
 
 def std_normal_cdf(z: float) -> float:
     """P(Z <= z) for a standard normal Z, accurate in both tails."""
-    z = _require_finite(z, "z")
+    z = float(z)
+    if not math.isfinite(z):  # _require_finite, inlined: every price calls this
+        raise DomainError(f"z must be finite, got {z!r}")
     return 0.5 * math.erfc(-z / _SQRT2)
 
 

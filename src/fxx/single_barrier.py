@@ -9,21 +9,25 @@ parameters. Two kernels cover them:
 * the *reflected* kernel (parameters C and D) carries the barrier
   reflection power ``(B/S)^(2 alpha)`` and the mirrored log argument.
 
-The Greeks are the exact chain-rule derivatives of those kernels, so
-delta/vega/vanna/volga stay consistent with the prices to machine
-precision; a finite-difference engine cross-checks them in the tests.
+Prices take the value-only path: ``_values`` evaluates A, B, C and D with
+the discount factors, the reflection exponent and powers computed once,
+and builds no Greeks. The Greeks are the exact chain-rule derivatives of
+the kernels (``_kernels``), so delta/vega/vanna/volga stay consistent
+with the prices to machine precision; each kernel's ``.value`` is the same
+arithmetic as the value-only path, bit for bit. A finite-difference engine
+cross-checks the Greeks in the tests.
 """
 
 import math
 from dataclasses import dataclass
 
 from .contracts import (BarrierSide, GreekSet, MarketEnvironment, OptionDirection,
-                        SingleBarrierSpec, classify_single_barrier)
+                        SingleBarrierSpec, _finite, classify_single_barrier)
 from .errors import DomainError, NumericalError, PreconditionError
 from .num_core import log_ratio
 from .num_core import std_normal_cdf as _N
 from .num_core import std_normal_pdf as _n
-from .vanilla import _check_env, _kernel_direct
+from .vanilla import _check_env, _kernel_direct, _value_direct
 
 _NEGATIVE_CLAMP = 1e-10
 
@@ -39,6 +43,20 @@ class AbcdValues:
     alpha: float
 
 
+def _reflected_legs(env: MarketEnvironment, strike: float, barrier: float,
+                    F: float, D: float, g: float, lam: float) -> tuple:
+    """Asset and cash legs S F (B/S)^(g+1) and K D (B/S)^(g-1) of the
+    reflected kernel, with ``lam`` = ln(B/S); overflow-checked."""
+    pow_hi = (g + 1.0) * lam
+    pow_lo = (g - 1.0) * lam
+    # 690 leaves room for the spot/strike factors before the double range ends
+    if abs(pow_hi) > 690.0 or abs(pow_lo) > 690.0:
+        raise NumericalError(
+            f"barrier reflection power exp({max(abs(pow_hi), abs(pow_lo)):.1f}) "
+            f"overflows for barrier/spot={barrier / env.spot!r}, sigma={env.sigma!r}")
+    return env.spot * F * math.exp(pow_hi), strike * D * math.exp(pow_lo)
+
+
 def _kernel_reflected(env: MarketEnvironment, phi: int, eta: int, strike: float,
                       barrier: float, mirror_strike: bool) -> GreekSet:
     """Value and Greeks of the barrier-reflection kernel.
@@ -52,15 +70,7 @@ def _kernel_reflected(env: MarketEnvironment, phi: int, eta: int, strike: float,
     D = math.exp(-env.r_d * T)
     g = 2.0 * env.drift / (sig * sig)
     lam = log_ratio(barrier, S)
-    pow_hi = (g + 1.0) * lam
-    pow_lo = (g - 1.0) * lam
-    # 690 leaves room for the spot/strike factors before the double range ends
-    if abs(pow_hi) > 690.0 or abs(pow_lo) > 690.0:
-        raise NumericalError(
-            f"barrier reflection power exp({max(abs(pow_hi), abs(pow_lo)):.1f}) "
-            f"overflows for barrier/spot={barrier / S!r}, sigma={sig!r}")
-    Lf = S * F * math.exp(pow_hi)
-    Ld = strike * D * math.exp(pow_lo)
+    Lf, Ld = _reflected_legs(env, strike, barrier, F, D, g, lam)
     lnZ = log_ratio(barrier * barrier, S * strike) if mirror_strike else lam
     y = (lnZ + (env.drift + 0.5 * sig * sig) * T) / s
     e = y - s
@@ -101,6 +111,31 @@ def _kernels(env: MarketEnvironment, phi: OptionDirection, eta: BarrierSide,
             _kernel_reflected(env, p, e, strike, barrier, mirror_strike=False))
 
 
+def _values(env: MarketEnvironment, phi: int, eta: int, strike: float,
+            barrier: float) -> tuple:
+    """Values of (A, B, C, D), bit for bit the ``.value`` of each of
+    ``_kernels``, without their Greeks.
+
+    The steps run in the kernels' order and a non-finite value raises
+    DomainError, as a GreekSet does; only a non-finite Greek, which this
+    path never computes, makes the kernels fail earlier.
+    """
+    S, T, sig = env.spot, env.T, env.sigma
+    s = _check_env(env)
+    F = math.exp(-env.r_f * T)
+    D = math.exp(-env.r_d * T)
+    a = _finite(_value_direct(env, phi, strike, strike, F, D), "value")
+    b = _finite(_value_direct(env, phi, strike, barrier, F, D), "value")
+    g = 2.0 * env.drift / (sig * sig)
+    lam = log_ratio(barrier, S)
+    Lf, Ld = _reflected_legs(env, strike, barrier, F, D, g, lam)
+    nu_T = (env.drift + 0.5 * sig * sig) * T
+    # log arguments B^2/(S K) for C and B/S for D
+    ys = ((log_ratio(barrier * barrier, S * strike) + nu_T) / s, (lam + nu_T) / s)
+    c, d = (_finite(phi * (Lf * _N(eta * y) - Ld * _N(eta * (y - s))), "value") for y in ys)
+    return a, b, c, d
+
+
 def abcd(env: MarketEnvironment, phi: OptionDirection, eta: BarrierSide,
          strike: float, barrier: float) -> AbcdValues:
     """Raw decomposition parameters for one (direction, side, K, B) tuple.
@@ -110,8 +145,7 @@ def abcd(env: MarketEnvironment, phi: OptionDirection, eta: BarrierSide,
     """
     if strike <= 0.0 or barrier <= 0.0:
         raise DomainError("strike and barrier must be positive")
-    ka, kb, kc, kd = _kernels(env, phi, eta, strike, barrier)
-    return AbcdValues(ka.value, kb.value, kc.value, kd.value, _alpha(env))
+    return AbcdValues(*_values(env, int(phi), int(eta), strike, barrier), _alpha(env))
 
 
 def greeks_abcd(env: MarketEnvironment, phi: OptionDirection, eta: BarrierSide,
@@ -137,8 +171,7 @@ def price_single_barrier(env: MarketEnvironment, spec: SingleBarrierSpec) -> flo
     """Price one single-barrier option from its table-row recipe."""
     spec.validate_against(env)
     row = classify_single_barrier(spec)
-    vals = abcd(env, spec.direction, spec.side, spec.strike, spec.barrier)
-    return _clamped_combine(row, vals.a, vals.b, vals.c, vals.d)
+    return _clamped_combine(row, *_values(env, row.phi, row.eta, spec.strike, spec.barrier))
 
 
 def greeks_single_barrier(env: MarketEnvironment, spec: SingleBarrierSpec) -> GreekSet:

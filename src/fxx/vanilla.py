@@ -1,9 +1,12 @@
-"""Two-rate vanilla FX pricing and the direct kernel behind its Greeks.
+"""Two-rate vanilla FX pricing and the direct kernel.
 
 The direct kernel is the vanilla formula with the log argument taken
 against a reference level: the strike for a vanilla (and for the barrier
-decomposition parameter A), the barrier for parameter B. Vanilla and
-barrier sensitivities therefore share a single closed-form implementation.
+decomposition parameter A), the barrier for parameter B. It comes in two
+forms that share the same value arithmetic: ``_value_direct`` returns the
+value alone and is what ``gk_price`` and the barrier prices evaluate;
+``_kernel_direct`` adds the closed-form Greeks for ``gk_greeks`` and the
+barrier Greeks, and its ``.value`` is bit for bit the value-only result.
 """
 
 import math
@@ -47,8 +50,15 @@ def gk_price(env: MarketEnvironment, direction: OptionDirection, strike: float) 
     df_d = math.exp(-env.r_d * env.T)
     if env.sigma * math.sqrt(env.T) < _DETERMINISTIC_LIMIT:
         return max(phi * (env.spot * df_f - strike * df_d), 0.0)
-    d1, d2 = d1_d2(env, strike)
-    return phi * (env.spot * df_f * _N(phi * d1) - strike * df_d * _N(phi * d2))
+    return _value_direct(env, phi, strike, strike, df_f, df_d)
+
+
+def _value_direct(env: MarketEnvironment, phi: int, strike: float, log_ref: float,
+                  F: float, D: float) -> float:
+    """phi*(S F N(phi u) - K D N(phi(u - s))) with ``F``, ``D`` the foreign
+    and domestic discount factors; the value of ``_kernel_direct``."""
+    u, e = d1_d2(env, log_ref)
+    return phi * (env.spot * F * _N(phi * u) - strike * D * _N(phi * e))
 
 
 def _kernel_direct(env: MarketEnvironment, phi: int, strike: float,

@@ -159,6 +159,16 @@ class TestGreeks:
         assert code == 3
         assert "boundary" in err
 
+    def test_numerical_failure_inside_stencil_exits_4(self, tmp_path, capsys):
+        # the corridor pricer overflows at a stencil point: a numerical
+        # failure, as `price` reports it, not a precondition
+        contract = {"type": "double_barrier", "direction": "call", "strike": 1e300,
+                    "lower_barrier": 8e299, "upper_barrier": 1.2e300, "knock": "out"}
+        request = write_request(tmp_path, contract, dict(MARKET, spot=1e300))
+        code, out, err = run(capsys, "greeks", request)
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"] == "numerical"
+
     def test_knock_out_analytic_routing(self, tmp_path, capsys):
         contract = {"type": "single_barrier", "direction": "call", "strike": 100.0,
                     "barrier": 80.0, "side": "lower", "knock": "out"}

@@ -105,6 +105,40 @@ class TestClassification:
             "DO-put-reverse"
 
 
+# The table as it stood when each call formatted its row:
+# (direction, side, knock, strike above barrier) -> (name, rule id, reverse, coefficients).
+TABLE_ROWS = {
+    (CALL, UP, IN, True): ("Up and In Call", "UI-call-standard", False, (1, 0, 0, 0)),
+    (CALL, LOW, IN, True): ("Down and In Call", "DI-call-standard", False, (0, 0, 1, 0)),
+    (CALL, UP, OUT, True): ("Up and Out Call", "UO-call-standard", False, (0, 0, 0, 0)),
+    (CALL, LOW, OUT, True): ("Down and Out Call", "DO-call-standard", False, (1, 0, -1, 0)),
+    (CALL, UP, IN, False): ("Reverse Up and In Call", "UI-call-reverse", True, (0, 1, -1, 1)),
+    (CALL, LOW, IN, False): ("Reverse Down and In Call", "DI-call-reverse", True, (1, -1, 0, 1)),
+    (CALL, UP, OUT, False): ("Reverse Up and Out Call", "UO-call-reverse", True, (1, -1, 1, -1)),
+    (CALL, LOW, OUT, False): ("Reverse Down and Out Call", "DO-call-reverse", True,
+                              (0, 1, 0, -1)),
+    (PUT, UP, IN, False): ("Up and In Put", "UI-put-standard", False, (0, 0, 1, 0)),
+    (PUT, LOW, IN, False): ("Down and In Put", "DI-put-standard", False, (1, 0, 0, 0)),
+    (PUT, UP, OUT, False): ("Up and Out Put", "UO-put-standard", False, (1, 0, -1, 0)),
+    (PUT, LOW, OUT, False): ("Down and Out Put", "DO-put-standard", False, (0, 0, 0, 0)),
+    (PUT, UP, IN, True): ("Reverse Up and In Put", "UI-put-reverse", True, (1, -1, 0, 1)),
+    (PUT, LOW, IN, True): ("Reverse Down and In Put", "DI-put-reverse", True, (0, 1, -1, 1)),
+    (PUT, UP, OUT, True): ("Reverse Up and Out Put", "UO-put-reverse", True, (0, 1, 0, -1)),
+    (PUT, LOW, OUT, True): ("Reverse Down and Out Put", "DO-put-reverse", True, (1, -1, 1, -1)),
+}
+
+
+def test_prebuilt_table_matches_formatted_rows():
+    rule_ids = set()
+    for (direction, side, knock, above), expected in TABLE_ROWS.items():
+        row = classify_single_barrier(_spec(direction, side, knock,
+                                            "above" if above else "below"))
+        assert (row.name, row.rule_id, row.reverse, row.coefficients) == expected
+        rule_ids.add(row.rule_id)
+    assert len(TABLE_ROWS) == 16
+    assert len(rule_ids) == 16
+
+
 class TestSpecValidation:
     def test_single_barrier_breach(self):
         SingleBarrierSpec(CALL, 100.0, 120.0, UP, OUT).validate_against(ENV)

@@ -2,8 +2,9 @@
 forms accept exactly the contracts the Monte Carlo engine accepts, in/out
 parity holds for single barriers and corridors at any strike, barrier
 prices lie between 0 and the vanilla, a corridor knock-out is worth no more
-than either single knock-out, and a KIKO rule id depends on the barriers
-alone."""
+than either single knock-out, a KIKO rule id depends on the barriers
+alone, and the value-only prices equal the Greek path's values bit for
+bit."""
 
 import warnings
 from dataclasses import replace
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 from fxx import (BarrierSide, DoubleBarrierSpec, KikoSpec, KnockType,
                  MarketEnvironment, McConfig, OptionDirection, PricingError,
-                 SingleBarrierSpec, TruncationWarning, gk_price, kiki_price,
-                 koko_price, mc_price, price_contract, price_single_barrier)
+                 SingleBarrierSpec, TruncationWarning, abcd, gk_greeks, gk_price,
+                 greeks_abcd, greeks_single_barrier, kiki_price, koko_price,
+                 mc_price, price_contract, price_single_barrier)
 from fxx.double_barrier import classify_kiko
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -139,3 +141,16 @@ def test_corridor_knock_out_below_both_single_knock_outs(case):
         spec.direction, spec.strike, level, side, KnockType.OUT))
         for level, side in ((spec.lower, BarrierSide.LOWER), (spec.upper, BarrierSide.UPPER))]
     assert koko <= min(singles_out) + 1e-10 * max(1.0, _vanilla(env, spec))
+
+
+@PROPERTY
+@given(st.one_of(singles(KnockType.OUT), singles(KnockType.IN)))
+def test_value_path_equals_greek_path(case):
+    env, spec = case
+    assume(spec.strike != spec.barrier)
+    assert price_single_barrier(env, spec) == greeks_single_barrier(env, spec).value
+    vals = abcd(env, spec.direction, spec.side, spec.strike, spec.barrier)
+    sets = greeks_abcd(env, spec.direction, spec.side, spec.strike, spec.barrier)
+    assert (vals.a, vals.b, vals.c, vals.d) == tuple(g.value for g in sets)
+    assert gk_price(env, spec.direction, spec.strike) == \
+        gk_greeks(env, spec.direction, spec.strike).value

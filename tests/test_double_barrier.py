@@ -193,6 +193,32 @@ class TestInOutPair:
             spec.direction, spec.strike, lower, upper, OUT))
         assert kiko_price(ENV, spec) == pytest.approx(knock_out - corridor, abs=1e-12)
 
+    # straddling draws whose KO(out) - KOKO is below zero by round-off only
+    # (draws 101 of row 0 and 26, 43, 100 of row 11 of bench/book.kiko_draw,
+    # rng seed 7, 200 per row)
+    @pytest.mark.parametrize("env,spec", [
+        (MarketEnvironment(79.59676875734932, 0.03517314023968759, 0.004838450733314497,
+                           0.11941990774023384, 0.1643410668910355),
+         KikoSpec(CALL, 86.87767164735553, 67.500620234652, LOW, 88.98558616264826, UP)),
+        (MarketEnvironment(67.1725364945586, -0.0068162177177771305, 0.01099011422136431,
+                           0.13575700516538258, 0.16415390544059594),
+         KikoSpec(PUT, 55.76325775149558, 84.3424200923971, UP, 54.51656717236485, LOW)),
+        (MarketEnvironment(153.6557468263776, 0.03681281524553619, 0.021767776206607824,
+                           0.12103185613305942, 0.17166270860255306),
+         KikoSpec(PUT, 149.50712344403297, 189.82524221496308, UP, 127.56928531563437, LOW)),
+        (MarketEnvironment(129.87309855882785, -0.009834101728409662, 0.049383528755744276,
+                           0.22208371665573048, 0.11783065488936485),
+         KikoSpec(PUT, 110.38813825417536, 168.05749159506078, UP, 106.94960925034304, LOW)),
+    ], ids=["row0-101", "row11-26", "row11-43", "row11-100"])
+    def test_round_off_below_zero_is_zero(self, env, spec):
+        knock_out = price_single_barrier(env, SingleBarrierSpec(
+            spec.direction, spec.strike, spec.barrier_out, spec.side_out, OUT))
+        lower, upper = sorted((spec.barrier_in, spec.barrier_out))
+        corridor = koko_price(env, DoubleBarrierSpec(
+            spec.direction, spec.strike, lower, upper, OUT))
+        assert -1e-10 <= knock_out - corridor < 0.0
+        assert kiko_price(env, spec) == 0.0
+
     def test_same_side_put_row(self):
         env = MarketEnvironment(100.0, 0.03, 0.01, 0.2, 1.0)
         spec = KikoSpec(PUT, 105.0, 92.0, LOW, 85.0, LOW)
