@@ -30,7 +30,7 @@ _LOG_OVERFLOW = 690.0
 @dataclass(frozen=True)
 class SeriesConfig:
     """Truncation control: the series runs n = -n_max..n_max and the
-    |n| = n_max term magnitudes must stay below ``tail_tol``."""
+    first omitted terms, |n| = n_max + 1, must stay below ``tail_tol``."""
 
     n_max: int = 5
     tail_tol: float = 1e-12
@@ -69,7 +69,7 @@ def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
     limit of the payoff's range inside the corridor, so it is clipped to
     [L, U] there while the cash leg keeps K; a call with K >= U or a put
     with K <= L is worth exactly 0.0. The result is clamped to
-    [0, vanilla]; if the outermost terms exceed ``cfg.tail_tol`` a
+    [0, vanilla]; if the first omitted terms reach ``cfg.tail_tol`` a
     TruncationWarning is issued.
     """
     if spec.knock != KnockType.OUT:
@@ -96,10 +96,8 @@ def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
         x1, x2 = log_ratio(S, L), log_ratio(S, Kc)
         x3, x4 = log_ratio(L, S), log_ratio(L * L, Kc * S)
 
-    sum_asset = 0.0
-    sum_cash = 0.0
-    tail = 0.0
-    for n in range(-cfg.n_max, cfg.n_max + 1):
+    def terms(n: int) -> tuple:
+        """Asset and cash terms of image n."""
         shift = 2.0 * n * ln_UL
         lp_img = alpha * n * ln_UL                       # (U^n/L^n)^alpha
         lp_ref = alpha * ((n + 1) * ln_L - n * ln_U - ln_S)   # (L^{n+1}/(U^n S))^alpha
@@ -109,23 +107,35 @@ def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
         d2 = (x2 + shift + nu_T) / s
         d3 = (x3 - shift + nu_T) / s
         d4 = (x4 - shift + nu_T) / s
-        term_asset = (_pow_times(lp_img, _ncdf_diff(d1, d2))
-                      - _pow_times(lp_ref, _ncdf_diff(d3, d4)))
-        term_cash = (_pow_times(lp_img_c, _ncdf_diff(d1 - s, d2 - s))
-                     - _pow_times(lp_ref_c, _ncdf_diff(d3 - s, d4 - s)))
+        return (_pow_times(lp_img, _ncdf_diff(d1, d2)) - _pow_times(lp_ref, _ncdf_diff(d3, d4)),
+                _pow_times(lp_img_c, _ncdf_diff(d1 - s, d2 - s))
+                - _pow_times(lp_ref_c, _ncdf_diff(d3 - s, d4 - s)))
+
+    def size(pair: tuple) -> float:
+        """Magnitude of a pair of images' terms in price units."""
+        return sum(abs(asset) * S + abs(cash) * K for asset, cash in pair)
+
+    images = [terms(n) for n in range(-cfg.n_max, cfg.n_max + 1)]
+    sum_asset = sum_cash = 0.0
+    for term_asset, term_cash in images:
         sum_asset += term_asset
         sum_cash += term_cash
-        if abs(n) == cfg.n_max:
-            tail += abs(term_asset) * S + abs(term_cash) * K
 
     asset_leg = math.exp(-env.r_f * T) * S * sum_asset
     cash_leg = math.exp(-env.r_d * T) * K * sum_cash
     price = phi * (asset_leg - cash_leg)
-    if tail >= cfg.tail_tol:
-        warnings.warn(
-            f"outermost series terms contribute {tail:.3e} >= tail_tol="
-            f"{cfg.tail_tol:.1e}; increase n_max for this regime",
-            TruncationWarning, stacklevel=2)
+    # The outermost included pair is a cheap first test; the truncation
+    # error itself is what the first omitted pair, +-(n_max + 1), would add.
+    if size((images[0], images[-1])) >= cfg.tail_tol:
+        try:
+            omitted = size((terms(-cfg.n_max - 1), terms(cfg.n_max + 1)))
+        except NumericalError:  # its image power overflows: far from converged
+            omitted = math.inf
+        if omitted >= cfg.tail_tol:
+            warnings.warn(
+                f"first omitted series terms (|n| = {cfg.n_max + 1}) contribute "
+                f"{omitted:.3e} >= tail_tol={cfg.tail_tol:.1e}; increase n_max "
+                "for this regime", TruncationWarning, stacklevel=2)
     vanilla = gk_price(env, spec.direction, K)
     return min(max(price, 0.0), vanilla)
 

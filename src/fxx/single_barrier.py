@@ -1,33 +1,27 @@
 """Closed-form single-barrier prices and their analytic Greeks.
 
 Every barrier variant is a signed combination of four decomposition
-parameters. Two kernels cover them:
-
-* the *direct* kernel (parameters A and B, in ``fxx.vanilla``) is the
-  two-rate vanilla formula with the log argument taken against the
-  strike (A) or the barrier (B);
-* the *reflected* kernel (parameters C and D) carries the barrier
-  reflection power ``(B/S)^(2 alpha)`` and the mirrored log argument.
-
-Prices take the value-only path: ``_values`` evaluates A, B, C and D with
-the discount factors, the reflection exponent and powers computed once,
-and builds no Greeks. The Greeks are the exact chain-rule derivatives of
-the kernels (``_kernels``), so delta/vega/vanna/volga stay consistent
-with the prices to machine precision; each kernel's ``.value`` is the same
-arithmetic as the value-only path, bit for bit. A finite-difference engine
-cross-checks the Greeks in the tests.
+parameters (Reiner & Rubinstein, 1991), and so are its Greeks. ``_setup``
+computes what the four share once per call: the discount factors, the
+reflection exponent, the two reflection legs S F (B/S)^(g+1) and
+K D (B/S)^(g-1), and the d1-terms of S/K (A), S/B (B), B^2/(S K) (C) and
+B/S (D). Each value is ``vanilla._value``: A and B are the direct kernel,
+C and D the reflected kernel on the legs with the barrier side as the CDF
+sign. The Greeks are the kernels' exact chain-rule derivatives, plain
+tuples combined with the row coefficients the prices use; prices never
+compute them. A finite-difference engine cross-checks them in the tests.
 """
 
 import math
 from dataclasses import dataclass
 
 from .contracts import (BarrierSide, GreekSet, MarketEnvironment, OptionDirection,
-                        SingleBarrierSpec, _finite, classify_single_barrier)
+                        SingleBarrierSpec, classify_single_barrier)
 from .errors import DomainError, NumericalError, PreconditionError
 from .num_core import log_ratio
 from .num_core import std_normal_cdf as _N
 from .num_core import std_normal_pdf as _n
-from .vanilla import _check_env, _kernel_direct, _value_direct
+from .vanilla import _check_env, _direct_greeks, _discounts, _greek_set, _value
 
 _NEGATIVE_CLAMP = 1e-10
 
@@ -43,41 +37,37 @@ class AbcdValues:
     alpha: float
 
 
-def _reflected_legs(env: MarketEnvironment, strike: float, barrier: float,
-                    F: float, D: float, g: float, lam: float) -> tuple:
-    """Asset and cash legs S F (B/S)^(g+1) and K D (B/S)^(g-1) of the
-    reflected kernel, with ``lam`` = ln(B/S); overflow-checked."""
+def _setup(env: MarketEnvironment, strike: float, barrier: float) -> tuple:
+    """(s, F, D, g, lam = ln(B/S), Lf, Ld, d1-terms of A, B, C, D)."""
+    S, sig = env.spot, env.sigma
+    s = _check_env(env)
+    F, D = _discounts(env)
+    g = 2.0 * env.drift / (sig * sig)
+    lam = log_ratio(barrier, S)
     pow_hi = (g + 1.0) * lam
     pow_lo = (g - 1.0) * lam
     # 690 leaves room for the spot/strike factors before the double range ends
     if abs(pow_hi) > 690.0 or abs(pow_lo) > 690.0:
         raise NumericalError(
             f"barrier reflection power exp({max(abs(pow_hi), abs(pow_lo)):.1f}) "
-            f"overflows for barrier/spot={barrier / env.spot!r}, sigma={env.sigma!r}")
-    return env.spot * F * math.exp(pow_hi), strike * D * math.exp(pow_lo)
+            f"overflows for barrier/spot={barrier / S!r}, sigma={sig!r}")
+    Lf, Ld = S * F * math.exp(pow_hi), strike * D * math.exp(pow_lo)
+    nu_T = (env.drift + 0.5 * sig * sig) * env.T
+    return (s, F, D, g, lam, Lf, Ld,
+            (log_ratio(S, strike) + nu_T) / s, (log_ratio(S, barrier) + nu_T) / s,
+            (log_ratio(barrier * barrier, S * strike) + nu_T) / s, (lam + nu_T) / s)
 
 
-def _kernel_reflected(env: MarketEnvironment, phi: int, eta: int, strike: float,
-                      barrier: float, mirror_strike: bool) -> GreekSet:
-    """Value and Greeks of the barrier-reflection kernel.
-
-    ``mirror_strike`` selects the log argument: B^2/(S K) for parameter C,
-    B/S for parameter D.
-    """
-    S, T, sig = env.spot, env.T, env.sigma
-    s = _check_env(env)
-    F = math.exp(-env.r_f * T)
-    D = math.exp(-env.r_d * T)
-    g = 2.0 * env.drift / (sig * sig)
-    lam = log_ratio(barrier, S)
-    Lf, Ld = _reflected_legs(env, strike, barrier, F, D, g, lam)
-    lnZ = log_ratio(barrier * barrier, S * strike) if mirror_strike else lam
-    y = (lnZ + (env.drift + 0.5 * sig * sig) * T) / s
+def _reflected_greeks(env: MarketEnvironment, phi: int, eta: int, s: float, g: float,
+                      lam: float, Lf: float, Ld: float, y: float) -> tuple:
+    """(value, delta, vega, vanna, volga) of the reflected kernel
+    phi*M, M = Lf N(eta y) - Ld N(eta (y - s)), with d1-term ``y``."""
+    S, sig = env.spot, env.sigma
+    value = _value(phi, Lf, Ld, eta, y, s)
+    M = phi * value  # exact: phi is +-1
     e = y - s
     Ny, Ne = _N(eta * y), _N(eta * e)
     ny, ne = _n(y), _n(e)
-
-    M = Lf * Ny - Ld * Ne
     dM_dS = (-(g / S) * Lf * Ny + ((g - 1.0) / S) * Ld * Ne
              - (eta / (S * s)) * (Lf * ny - Ld * ne))
     G = y * Ld * ne - e * Lf * ny
@@ -86,8 +76,6 @@ def _kernel_reflected(env: MarketEnvironment, phi: int, eta: int, strike: float,
     dG_dsig = ((Ld * ne / sig) * (-e - 2.0 * g * lam * y + e * y * y)
                + (Lf * ny / sig) * (y + 2.0 * g * lam * e - y * e * e))
 
-    value = phi * M
-    delta = phi * dM_dS
     vega_raw = -(2.0 * g * lam / sig) * M + (eta / sig) * G
     vanna = phi * ((2.0 * g / (sig * S)) * M - (2.0 * g * lam / sig) * dM_dS
                    + (eta / sig) * dG_dS)
@@ -95,45 +83,26 @@ def _kernel_reflected(env: MarketEnvironment, phi: int, eta: int, strike: float,
                    - (2.0 * g * lam / sig) * vega_raw
                    - (eta / (sig * sig)) * G
                    + (eta / sig) * dG_dsig)
-    return GreekSet(value, delta, phi * vega_raw, vanna, volga)
-
-
-def _alpha(env: MarketEnvironment) -> float:
-    return (env.r_d - env.r_f - 0.5 * env.sigma * env.sigma) / (env.sigma * env.sigma)
-
-
-def _kernels(env: MarketEnvironment, phi: OptionDirection, eta: BarrierSide,
-             strike: float, barrier: float) -> tuple:
-    p, e = int(phi), int(eta)
-    return (_kernel_direct(env, p, strike, strike),
-            _kernel_direct(env, p, strike, barrier),
-            _kernel_reflected(env, p, e, strike, barrier, mirror_strike=True),
-            _kernel_reflected(env, p, e, strike, barrier, mirror_strike=False))
+    return value, phi * dM_dS, phi * vega_raw, vanna, volga
 
 
 def _values(env: MarketEnvironment, phi: int, eta: int, strike: float,
             barrier: float) -> tuple:
-    """Values of (A, B, C, D), bit for bit the ``.value`` of each of
-    ``_kernels``, without their Greeks.
+    """Values of (A, B, C, D)."""
+    s, F, D, _g, _lam, Lf, Ld, xa, xb, xc, xd = _setup(env, strike, barrier)
+    P, Q = env.spot * F, strike * D
+    return (_value(phi, P, Q, phi, xa, s), _value(phi, P, Q, phi, xb, s),
+            _value(phi, Lf, Ld, eta, xc, s), _value(phi, Lf, Ld, eta, xd, s))
 
-    The steps run in the kernels' order and a non-finite value raises
-    DomainError, as a GreekSet does; only a non-finite Greek, which this
-    path never computes, makes the kernels fail earlier.
-    """
-    S, T, sig = env.spot, env.T, env.sigma
-    s = _check_env(env)
-    F = math.exp(-env.r_f * T)
-    D = math.exp(-env.r_d * T)
-    a = _finite(_value_direct(env, phi, strike, strike, F, D), "value")
-    b = _finite(_value_direct(env, phi, strike, barrier, F, D), "value")
-    g = 2.0 * env.drift / (sig * sig)
-    lam = log_ratio(barrier, S)
-    Lf, Ld = _reflected_legs(env, strike, barrier, F, D, g, lam)
-    nu_T = (env.drift + 0.5 * sig * sig) * T
-    # log arguments B^2/(S K) for C and B/S for D
-    ys = ((log_ratio(barrier * barrier, S * strike) + nu_T) / s, (lam + nu_T) / s)
-    c, d = (_finite(phi * (Lf * _N(eta * y) - Ld * _N(eta * (y - s))), "value") for y in ys)
-    return a, b, c, d
+
+def _greeks(env: MarketEnvironment, phi: int, eta: int, strike: float,
+            barrier: float) -> tuple:
+    """(value, delta, vega, vanna, volga) tuples of (A, B, C, D)."""
+    s, F, D, g, lam, Lf, Ld, xa, xb, xc, xd = _setup(env, strike, barrier)
+    return (_direct_greeks(env, phi, strike, s, F, D, xa),
+            _direct_greeks(env, phi, strike, s, F, D, xb),
+            _reflected_greeks(env, phi, eta, s, g, lam, Lf, Ld, xc),
+            _reflected_greeks(env, phi, eta, s, g, lam, Lf, Ld, xd))
 
 
 def abcd(env: MarketEnvironment, phi: OptionDirection, eta: BarrierSide,
@@ -145,7 +114,8 @@ def abcd(env: MarketEnvironment, phi: OptionDirection, eta: BarrierSide,
     """
     if strike <= 0.0 or barrier <= 0.0:
         raise DomainError("strike and barrier must be positive")
-    return AbcdValues(*_values(env, int(phi), int(eta), strike, barrier), _alpha(env))
+    alpha = (env.r_d - env.r_f - 0.5 * env.sigma * env.sigma) / (env.sigma * env.sigma)
+    return AbcdValues(*_values(env, int(phi), int(eta), strike, barrier), alpha)
 
 
 def greeks_abcd(env: MarketEnvironment, phi: OptionDirection, eta: BarrierSide,
@@ -153,25 +123,22 @@ def greeks_abcd(env: MarketEnvironment, phi: OptionDirection, eta: BarrierSide,
     """GreekSets of the four decomposition parameters, in (A, B, C, D) order."""
     if strike <= 0.0 or barrier <= 0.0:
         raise DomainError("strike and barrier must be positive")
-    return _kernels(env, phi, eta, strike, barrier)
+    return tuple(map(_greek_set, _greeks(env, int(phi), int(eta), strike, barrier)))
 
 
-def _clamped_combine(row, a: float, b: float, c: float, d: float) -> float:
-    price = row.combine(a, b, c, d)
-    if price < 0.0:
-        if price < -_NEGATIVE_CLAMP:
-            raise NumericalError(
-                f"barrier price {price!r} below the negative tolerance; "
-                f"inputs are outside the reliable range of the closed form")
-        price = 0.0
-    return price
+def _clamp(price: float) -> float:
+    if price < -_NEGATIVE_CLAMP:
+        raise NumericalError(
+            f"barrier price {price!r} below the negative tolerance; "
+            f"inputs are outside the reliable range of the closed form")
+    return max(price, 0.0)  # round-off below zero is zero
 
 
 def price_single_barrier(env: MarketEnvironment, spec: SingleBarrierSpec) -> float:
     """Price one single-barrier option from its table-row recipe."""
     spec.validate_against(env)
     row = classify_single_barrier(spec)
-    return _clamped_combine(row, *_values(env, row.phi, row.eta, spec.strike, spec.barrier))
+    return _clamp(row.combine(*_values(env, row.phi, row.eta, spec.strike, spec.barrier)))
 
 
 def greeks_single_barrier(env: MarketEnvironment, spec: SingleBarrierSpec) -> GreekSet:
@@ -187,8 +154,6 @@ def greeks_single_barrier(env: MarketEnvironment, spec: SingleBarrierSpec) -> Gr
             "strike equals barrier: on the classification boundary the Greek "
             "recipe is ambiguous; price only, or move off the boundary")
     row = classify_single_barrier(spec)
-    ka, kb, kc, kd = _kernels(env, spec.direction, spec.side, spec.strike, spec.barrier)
-    ca, cb, cc, cd = row.coefficients
-    combined = ca * ka + cb * kb + cc * kc + cd * kd
-    value = _clamped_combine(row, ka.value, kb.value, kc.value, kd.value)
-    return GreekSet(value, combined.delta, combined.vega, combined.vanna, combined.volga)
+    sets = _greeks(env, row.phi, row.eta, spec.strike, spec.barrier)
+    value, *rest = (row.combine(*parts) for parts in zip(*sets))
+    return _greek_set((_clamp(value), *rest))

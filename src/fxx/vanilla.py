@@ -1,18 +1,18 @@
 """Two-rate vanilla FX pricing and the direct kernel.
 
-The direct kernel is the vanilla formula with the log argument taken
-against a reference level: the strike for a vanilla (and for the barrier
-decomposition parameter A), the barrier for parameter B. It comes in two
-forms that share the same value arithmetic: ``_value_direct`` returns the
-value alone and is what ``gk_price`` and the barrier prices evaluate;
-``_kernel_direct`` adds the closed-form Greeks for ``gk_greeks`` and the
-barrier Greeks, and its ``.value`` is bit for bit the value-only result.
+Every kernel value, vanilla or barrier, is ``_value``:
+phi*(P N(w x) - Q N(w (x - s))). The direct kernel is the vanilla formula,
+P = S F, Q = K D, w = phi, with x the d1-term of S against the strike (a
+vanilla, barrier parameter A) or the barrier (parameter B);
+``_direct_greeks`` adds its closed-form Greeks as a plain tuple. A result
+that leaves the double range raises NumericalError: the inputs were valid,
+the arithmetic was not.
 """
 
 import math
 
 from .contracts import GreekSet, MarketEnvironment, OptionDirection
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .num_core import log_ratio
 from .num_core import std_normal_cdf as _N
 from .num_core import std_normal_pdf as _n
@@ -31,6 +31,27 @@ def _check_env(env: MarketEnvironment) -> float:
     return s
 
 
+def _out_of_range(what: str) -> NumericalError:
+    return NumericalError(f"{what} leaves the double range; the inputs are "
+                          "outside the closed form's numerical range")
+
+
+def _discounts(env: MarketEnvironment) -> tuple:
+    """Foreign and domestic discount factors exp(-r_f T), exp(-r_d T)."""
+    try:
+        return math.exp(-env.r_f * env.T), math.exp(-env.r_d * env.T)
+    except OverflowError:
+        worst = max(-env.r_f * env.T, -env.r_d * env.T)
+        raise _out_of_range(f"discount factor exp({worst!r})") from None
+
+
+def _greek_set(greeks: tuple) -> GreekSet:
+    """GreekSet of kernel results; a non-finite one is an arithmetic failure."""
+    if not all(map(math.isfinite, greeks)):
+        raise _out_of_range(f"kernel result {greeks!r}")
+    return GreekSet(*greeks)
+
+
 def d1_d2(env: MarketEnvironment, strike: float) -> tuple:
     s = env.sigma * math.sqrt(env.T)
     d1 = (log_ratio(env.spot, strike) + (env.drift + 0.5 * env.sigma * env.sigma) * env.T) / s
@@ -42,39 +63,22 @@ def _check_strike(strike: float) -> None:
         raise DomainError(f"strike must be positive and finite, got {strike!r}")
 
 
-def gk_price(env: MarketEnvironment, direction: OptionDirection, strike: float) -> float:
-    """Vanilla FX option price under flat rates and volatility."""
-    _check_strike(strike)
-    phi = int(direction)
-    df_f = math.exp(-env.r_f * env.T)
-    df_d = math.exp(-env.r_d * env.T)
-    if env.sigma * math.sqrt(env.T) < _DETERMINISTIC_LIMIT:
-        return max(phi * (env.spot * df_f - strike * df_d), 0.0)
-    return _value_direct(env, phi, strike, strike, df_f, df_d)
+def _value(phi: int, P: float, Q: float, w: int, x: float, s: float) -> float:
+    """phi*(P N(w x) - Q N(w (x - s))), the value of every kernel."""
+    value = phi * (P * _N(w * x) - Q * _N(w * (x - s)))
+    if not math.isfinite(value):
+        raise _out_of_range(f"kernel value {value!r}")
+    return value
 
 
-def _value_direct(env: MarketEnvironment, phi: int, strike: float, log_ref: float,
-                  F: float, D: float) -> float:
-    """phi*(S F N(phi u) - K D N(phi(u - s))) with ``F``, ``D`` the foreign
-    and domestic discount factors; the value of ``_kernel_direct``."""
-    u, e = d1_d2(env, log_ref)
-    return phi * (env.spot * F * _N(phi * u) - strike * D * _N(phi * e))
-
-
-def _kernel_direct(env: MarketEnvironment, phi: int, strike: float,
-                   log_ref: float) -> GreekSet:
-    """Value and Greeks of phi*(S F N(phi u) - K D N(phi(u - s))).
-
-    ``log_ref`` is the level inside the log (strike for parameter A,
-    barrier for parameter B); the cash leg always uses the strike.
-    """
-    S, T, sig = env.spot, env.T, env.sigma
-    s = _check_env(env)
-    F = math.exp(-env.r_f * T)
-    D = math.exp(-env.r_d * T)
-    u, e = d1_d2(env, log_ref)
+def _direct_greeks(env: MarketEnvironment, phi: int, strike: float, s: float,
+                   F: float, D: float, u: float) -> tuple:
+    """(value, delta, vega, vanna, volga) of the direct kernel with d1-term
+    ``u``; the cash leg always uses the strike."""
+    S, sig = env.spot, env.sigma
+    value = _value(phi, S * F, strike * D, phi, u, s)
+    e = u - s
     nu, ne = _n(u), _n(e)
-    value = phi * (S * F * _N(phi * u) - strike * D * _N(phi * e))
     delta = phi * F * _N(phi * u) + (S * F * nu - strike * D * ne) / (S * s)
     vega = (u * strike * D * ne - e * S * F * nu) / sig
     vanna = ((strike * D * ne / (S * s)) * (1.0 - u * e)
@@ -82,11 +86,28 @@ def _kernel_direct(env: MarketEnvironment, phi: int, strike: float,
     volga = (-vega / sig
              + (e * (u * u - 1.0) * strike * D * ne
                 + u * (1.0 - e * e) * S * F * nu) / (sig * sig))
-    return GreekSet(value, delta, vega, vanna, volga)
+    return value, delta, vega, vanna, volga
+
+
+def gk_price(env: MarketEnvironment, direction: OptionDirection, strike: float) -> float:
+    """Vanilla FX option price under flat rates and volatility."""
+    _check_strike(strike)
+    phi = int(direction)
+    F, D = _discounts(env)
+    s = env.sigma * math.sqrt(env.T)
+    if s < _DETERMINISTIC_LIMIT:
+        price = max(phi * (env.spot * F - strike * D), 0.0)
+        if not math.isfinite(price):
+            raise _out_of_range(f"forward value {price!r}")
+        return price
+    return _value(phi, env.spot * F, strike * D, phi, d1_d2(env, strike)[0], s)
 
 
 def gk_greeks(env: MarketEnvironment, direction: OptionDirection, strike: float) -> GreekSet:
     """Vanilla value plus delta/vega/vanna/volga in closed form: the direct
     kernel with the strike as log reference, so ``.value`` is ``gk_price``."""
     _check_strike(strike)
-    return _kernel_direct(env, int(direction), strike, strike)
+    s = _check_env(env)
+    F, D = _discounts(env)
+    return _greek_set(_direct_greeks(env, int(direction), strike, s, F, D,
+                                     d1_d2(env, strike)[0]))

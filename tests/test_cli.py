@@ -37,6 +37,37 @@ UP_OUT = {"type": "single_barrier", "direction": "call", "strike": 120.0,
           "barrier": 110.0, "side": "upper", "knock": "out"}
 
 
+# Requests whose arithmetic leaves the double range: market overrides and
+# the contract, by test id.
+OUT_OF_RANGE = {
+    "single_barrier_1e300": (
+        {"spot": 1e300}, {"type": "single_barrier", "direction": "call", "strike": 1e300,
+                          "barrier": 5e299, "side": "lower", "knock": "out"}),
+    "double_barrier_1e300": (
+        {"spot": 1e300}, {"type": "double_barrier", "direction": "call", "strike": 1e300,
+                          "lower_barrier": 8e299, "upper_barrier": 1.2e300, "knock": "out"}),
+    "single_barrier_1e-200": (
+        {"spot": 1e-200}, {"type": "single_barrier", "direction": "put", "strike": 1e-200,
+                           "barrier": 1.5e-200, "side": "upper", "knock": "in"}),
+    "vanilla_1e-200": (
+        {"spot": 1e-200}, {"type": "vanilla", "direction": "call", "strike": 1e200}),
+    # both legs overflow to inf and their difference is nan
+    "vanilla_infinite_legs": (
+        {"spot": 4.799209137275222e190, "domestic_rate": -1.5030086014245023,
+         "foreign_rate": -1.8611960042204396, "volatility": 0.1499583760719223,
+         "maturity": 290.83325561321584},
+        {"type": "vanilla", "direction": "call", "strike": 2.0062034110668564e191}),
+    # exp(-r_f T) overflows
+    "vanilla_discount_overflow": ({"foreign_rate": -1000.0}, VANILLA),
+    "single_barrier_2.7e296": (
+        {"spot": 2.703050656611035e296, "domestic_rate": 1.23464351525893,
+         "foreign_rate": -0.37217759416714324, "volatility": 1.9124977781843914e-05,
+         "maturity": 4.6513023128769746e-05},
+        {"type": "single_barrier", "direction": "call", "strike": 5.136733205363547e294,
+         "barrier": 4.3006885045465285e296, "side": "upper", "knock": "out"}),
+}
+
+
 SCHEMAS = [
     (VANILLA, "VanillaSpec", "vanilla"),
     (UP_OUT, "SingleBarrierSpec", "UO-call-standard"),
@@ -120,18 +151,10 @@ class TestPrice:
         assert code == 4
         assert "overflow" in err
 
-    @pytest.mark.parametrize("spot,contract", [
-        (1e300, {"type": "single_barrier", "direction": "call", "strike": 1e300,
-                 "barrier": 5e299, "side": "lower", "knock": "out"}),
-        (1e300, {"type": "double_barrier", "direction": "call", "strike": 1e300,
-                 "lower_barrier": 8e299, "upper_barrier": 1.2e300, "knock": "out"}),
-        (1e-200, {"type": "single_barrier", "direction": "put", "strike": 1e-200,
-                  "barrier": 1.5e-200, "side": "upper", "knock": "in"}),
-        (1e-200, {"type": "vanilla", "direction": "call", "strike": 1e200}),
-    ], ids=["single_barrier_1e300", "double_barrier_1e300", "single_barrier_1e-200",
-            "vanilla_1e-200"])
-    def test_out_of_range_intermediate_exits_4(self, tmp_path, capsys, spot, contract):
-        market = dict(MARKET, spot=spot)
+    @pytest.mark.parametrize("overrides,contract", OUT_OF_RANGE.values(),
+                             ids=OUT_OF_RANGE.keys())
+    def test_out_of_range_intermediate_exits_4(self, tmp_path, capsys, overrides, contract):
+        market = dict(MARKET, **overrides)
         code, out, err = run(capsys, "price", write_request(tmp_path, contract, market))
         assert (code, out) == (4, "")
         assert json.loads(err)["error"] == "numerical"
@@ -166,6 +189,14 @@ class TestGreeks:
                     "lower_barrier": 8e299, "upper_barrier": 1.2e300, "knock": "out"}
         request = write_request(tmp_path, contract, dict(MARKET, spot=1e300))
         code, out, err = run(capsys, "greeks", request)
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"] == "numerical"
+
+    @pytest.mark.parametrize("overrides,contract", OUT_OF_RANGE.values(),
+                             ids=OUT_OF_RANGE.keys())
+    def test_out_of_range_intermediate_exits_4(self, tmp_path, capsys, overrides, contract):
+        market = dict(MARKET, **overrides)
+        code, out, err = run(capsys, "greeks", write_request(tmp_path, contract, market))
         assert (code, out) == (4, "")
         assert json.loads(err)["error"] == "numerical"
 

@@ -3,9 +3,11 @@ forms accept exactly the contracts the Monte Carlo engine accepts, in/out
 parity holds for single barriers and corridors at any strike, barrier
 prices lie between 0 and the vanilla, a corridor knock-out is worth no more
 than either single knock-out, a KIKO rule id depends on the barriers
-alone, and the value-only prices equal the Greek path's values bit for
-bit."""
+alone, the value-only prices equal the Greek path's values bit for bit,
+and far outside desk ranges a vanilla or single-barrier price or Greek set
+is finite or a typed PricingError."""
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -15,9 +17,9 @@ from hypothesis import strategies as st
 
 from fxx import (BarrierSide, DoubleBarrierSpec, KikoSpec, KnockType,
                  MarketEnvironment, McConfig, OptionDirection, PricingError,
-                 SingleBarrierSpec, TruncationWarning, abcd, gk_greeks, gk_price,
-                 greeks_abcd, greeks_single_barrier, kiki_price, koko_price,
-                 mc_price, price_contract, price_single_barrier)
+                 SingleBarrierSpec, TruncationWarning, VanillaSpec, abcd, gk_greeks,
+                 gk_price, greeks_abcd, greeks_contract, greeks_single_barrier,
+                 kiki_price, koko_price, mc_price, price_contract, price_single_barrier)
 from fxx.double_barrier import classify_kiko
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -154,3 +156,46 @@ def test_value_path_equals_greek_path(case):
     assert (vals.a, vals.b, vals.c, vals.d) == tuple(g.value for g in sets)
     assert gk_price(env, spec.direction, spec.strike) == \
         gk_greeks(env, spec.direction, spec.strike).value
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# far outside desk ranges: the arithmetic, not the inputs, leaves the double range
+extreme_markets = st.builds(MarketEnvironment, spot=_log_uniform(1e-300, 1e300),
+                            r_d=st.floats(-3.0, 3.0), r_f=st.floats(-3.0, 3.0),
+                            sigma=_log_uniform(1e-6, 10.0), T=_log_uniform(1e-6, 1000.0))
+extreme_ratios = _log_uniform(1e-3, 1e3)
+
+
+@st.composite
+def extreme_contracts(draw):
+    """(env, VanillaSpec or SingleBarrierSpec) over the extreme markets,
+    strike and barrier within a factor 1e3 of spot."""
+    env = draw(extreme_markets)
+    direction = draw(directions)
+    strike = env.spot * draw(extreme_ratios)
+    if draw(st.booleans()):
+        return env, VanillaSpec(direction, strike)
+    distance = draw(_log_uniform(1.0, 1e3))
+    barrier, side = ((env.spot * distance, BarrierSide.UPPER) if draw(st.booleans())
+                     else (env.spot / distance, BarrierSide.LOWER))
+    return env, SingleBarrierSpec(direction, strike, barrier, side,
+                                  draw(st.sampled_from((KnockType.IN, KnockType.OUT))))
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(extreme_contracts())
+def test_every_failure_is_a_typed_pricing_error(case):
+    env, spec = case
+    try:
+        price, _rule = price_contract(env, spec)
+        assert math.isfinite(price)
+    except PricingError:
+        pass
+    try:
+        greeks, _method, _notices = greeks_contract(env, spec, method="analytic")
+        assert all(map(math.isfinite, greeks.as_tuple()))
+    except PricingError:
+        pass

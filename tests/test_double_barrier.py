@@ -113,10 +113,18 @@ class TestKnockOutCorridor:
             koko_price(env, spec, SeriesConfig(n_max=2, tail_tol=1e-12))
 
     def test_no_warning_at_desk_scale(self):
-        spec = DoubleBarrierSpec(CALL, 100.0, 85.0, 115.0, OUT)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", TruncationWarning)
-            koko_price(ENV, spec)
+        cases = [(ENV, DoubleBarrierSpec(CALL, 100.0, 85.0, 115.0, OUT)),
+                 # the |n| = 5 terms add 3.3e-12, yet n_max 5..50 agree to
+                 # the last bit: the first omitted pair is below tail_tol
+                 (MarketEnvironment(112.55018254620006, 0.05591025754787249,
+                                    0.020507443773827527, 0.14831049447506595,
+                                    0.491856983289345),
+                  DoubleBarrierSpec(CALL, 109.92648593981208, 104.76917844069284,
+                                    115.29635400313947, OUT))]
+        for env, spec in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", TruncationWarning)
+                koko_price(env, spec)
 
     def test_payoff_outside_corridor_worthless(self):
         # a call struck at or above U, a put at or below L: no payoff
