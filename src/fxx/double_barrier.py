@@ -21,7 +21,7 @@ from .greeks_fd import FdBumps, fd_greeks
 from .num_core import log_ratio
 from .num_core import std_normal_cdf as _N
 from .single_barrier import _NEGATIVE_CLAMP, price_single_barrier
-from .vanilla import gk_greeks, gk_price
+from .vanilla import _discounts, gk_greeks, gk_price
 
 # leaves room for the spot/strike prefactors before the double range ends
 _LOG_OVERFLOW = 690.0
@@ -96,44 +96,46 @@ def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
         x1, x2 = log_ratio(S, L), log_ratio(S, Kc)
         x3, x4 = log_ratio(L, S), log_ratio(L * L, Kc * S)
 
-    def terms(n: int) -> tuple:
-        """Asset and cash terms of image n."""
-        shift = 2.0 * n * ln_UL
-        lp_img = alpha * n * ln_UL                       # (U^n/L^n)^alpha
-        lp_ref = alpha * ((n + 1) * ln_L - n * ln_U - ln_S)   # (L^{n+1}/(U^n S))^alpha
-        lp_img_c = (alpha - 2.0) * n * ln_UL
-        lp_ref_c = (alpha - 2.0) * ((n + 1) * ln_L - n * ln_U - ln_S)
-        d1 = (x1 + shift + nu_T) / s
-        d2 = (x2 + shift + nu_T) / s
-        d3 = (x3 - shift + nu_T) / s
-        d4 = (x4 - shift + nu_T) / s
-        return (_pow_times(lp_img, _ncdf_diff(d1, d2)) - _pow_times(lp_ref, _ncdf_diff(d3, d4)),
-                _pow_times(lp_img_c, _ncdf_diff(d1 - s, d2 - s))
-                - _pow_times(lp_ref_c, _ncdf_diff(d3 - s, d4 - s)))
+    def series(indices, edge: int) -> tuple:
+        """Sums of the asset and cash terms over ``indices``, and the size
+        in price units of the terms with |n| = ``edge``."""
+        sum_asset = sum_cash = tail = 0.0
+        for n in indices:
+            shift = 2.0 * n * ln_UL
+            lp_img = alpha * n * ln_UL                       # (U^n/L^n)^alpha
+            lp_ref = alpha * ((n + 1) * ln_L - n * ln_U - ln_S)   # (L^{n+1}/(U^n S))^alpha
+            lp_img_c = (alpha - 2.0) * n * ln_UL
+            lp_ref_c = (alpha - 2.0) * ((n + 1) * ln_L - n * ln_U - ln_S)
+            d1 = (x1 + shift + nu_T) / s
+            d2 = (x2 + shift + nu_T) / s
+            d3 = (x3 - shift + nu_T) / s
+            d4 = (x4 - shift + nu_T) / s
+            term_asset = (_pow_times(lp_img, _ncdf_diff(d1, d2))
+                          - _pow_times(lp_ref, _ncdf_diff(d3, d4)))
+            term_cash = (_pow_times(lp_img_c, _ncdf_diff(d1 - s, d2 - s))
+                         - _pow_times(lp_ref_c, _ncdf_diff(d3 - s, d4 - s)))
+            sum_asset += term_asset
+            sum_cash += term_cash
+            if abs(n) == edge:
+                tail += abs(term_asset) * S + abs(term_cash) * K
+        return sum_asset, sum_cash, tail
 
-    def size(pair: tuple) -> float:
-        """Magnitude of a pair of images' terms in price units."""
-        return sum(abs(asset) * S + abs(cash) * K for asset, cash in pair)
-
-    images = [terms(n) for n in range(-cfg.n_max, cfg.n_max + 1)]
-    sum_asset = sum_cash = 0.0
-    for term_asset, term_cash in images:
-        sum_asset += term_asset
-        sum_cash += term_cash
-
-    asset_leg = math.exp(-env.r_f * T) * S * sum_asset
-    cash_leg = math.exp(-env.r_d * T) * K * sum_cash
+    sum_asset, sum_cash, tail = series(range(-cfg.n_max, cfg.n_max + 1), cfg.n_max)
+    F, D = _discounts(env)
+    asset_leg = F * S * sum_asset
+    cash_leg = D * K * sum_cash
     price = phi * (asset_leg - cash_leg)
     # The outermost included pair is a cheap first test; the truncation
     # error itself is what the first omitted pair, +-(n_max + 1), would add.
-    if size((images[0], images[-1])) >= cfg.tail_tol:
+    if tail >= cfg.tail_tol:
+        edge = cfg.n_max + 1
         try:
-            omitted = size((terms(-cfg.n_max - 1), terms(cfg.n_max + 1)))
+            omitted = series((-edge, edge), edge)[2]
         except NumericalError:  # its image power overflows: far from converged
             omitted = math.inf
         if omitted >= cfg.tail_tol:
             warnings.warn(
-                f"first omitted series terms (|n| = {cfg.n_max + 1}) contribute "
+                f"first omitted series terms (|n| = {edge}) contribute "
                 f"{omitted:.3e} >= tail_tol={cfg.tail_tol:.1e}; increase n_max "
                 "for this regime", TruncationWarning, stacklevel=2)
     vanilla = gk_price(env, spec.direction, K)

@@ -59,6 +59,10 @@ OUT_OF_RANGE = {
         {"type": "vanilla", "direction": "call", "strike": 2.0062034110668564e191}),
     # exp(-r_f T) overflows
     "vanilla_discount_overflow": ({"foreign_rate": -1000.0}, VANILLA),
+    "double_barrier_discount_overflow": (
+        {"foreign_rate": -1000.0}, {"type": "double_barrier", "direction": "call",
+                                    "strike": 100.0, "lower_barrier": 85.0,
+                                    "upper_barrier": 115.0, "knock": "out"}),
     "single_barrier_2.7e296": (
         {"spot": 2.703050656611035e296, "domestic_rate": 1.23464351525893,
          "foreign_rate": -0.37217759416714324, "volatility": 1.9124977781843914e-05,
