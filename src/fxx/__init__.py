@@ -1,9 +1,11 @@
 """FX vanilla and barrier option pricing with analytic Greeks, a
 Vanna-Volga smile adjustment and a seeded Monte Carlo cross-check engine.
 
-The closed forms are pure Python. The Monte Carlo and Vanna-Volga names
-need numpy (and scipy), so their modules load on first access to one of
-their names, and a process that only prices never imports them.
+The closed forms and the Vanna-Volga adjustment are pure Python; only the
+Monte Carlo engine needs numpy and scipy. The Monte Carlo and Vanna-Volga
+modules load on first access to one of their names: the first keeps
+numpy and scipy out of every other command, the second spares `price`
+and `greeks` loading a module they never use.
 """
 
 import importlib
@@ -24,7 +26,8 @@ from .single_barrier import (AbcdValues, abcd, greeks_abcd, greeks_single_barrie
                              price_single_barrier)
 from .vanilla import gk_greeks, gk_price
 
-# public name -> submodule that defines it, imported on first access
+# public name -> submodule that defines it, imported on first access:
+# mc_oracle for numpy and scipy, vanna_volga for its load time
 _LAZY = {
     **dict.fromkeys(("McConfig", "McEstimate", "mc_price", "mc_price_batch"),
                     "mc_oracle"),

@@ -138,7 +138,7 @@ def parse_request(path: str) -> tuple:
 
 def parse_quotes(path: str):
     """Read a smile quotes file into a PivotQuotes."""
-    from .vanna_volga import PivotQuotes  # numpy: only vv-price loads it
+    from .vanna_volga import PivotQuotes  # only vv-price loads the module
 
     doc = _load_json(path)
     fields = _take(doc, path, {"atm_vol": float},
@@ -188,7 +188,7 @@ def _cmd_greeks(args) -> int:
 
 
 def _cmd_vv_price(args) -> int:
-    from .vanna_volga import vv_price
+    from .vanna_volga import vv_price  # deferred: price and greeks never use it
 
     env, spec = parse_request(args.request)
     quotes = parse_quotes(args.quotes)

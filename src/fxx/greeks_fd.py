@@ -11,6 +11,7 @@ from typing import Callable
 
 from .contracts import GreekSet, MarketEnvironment
 from .errors import NumericalError, PricingError
+from .vanilla import _greek_set
 
 Pricer = Callable[[MarketEnvironment], float]
 
@@ -45,7 +46,8 @@ def fd_greeks(pricer: Pricer, env: MarketEnvironment,
 
     delta and vega are plain central differences, volga reuses the vega
     stencil as a second difference, vanna is the four-corner cross
-    difference.
+    difference. A difference that leaves the double range is an
+    arithmetic failure (``NumericalError``).
     """
     S, sig = env.spot, env.sigma
     h = bumps.dS_rel * S
@@ -63,4 +65,4 @@ def fd_greeks(pricer: Pricer, env: MarketEnvironment,
     vega = (p_vu - p_vd) / (2.0 * k)
     volga = (p_vu - 2.0 * p00 + p_vd) / (k * k)
     vanna = (p_uu - p_ud - p_du + p_dd) / (4.0 * h * k)
-    return GreekSet(p00, delta, vega, vanna, volga)
+    return _greek_set((p00, delta, vega, vanna, volga))

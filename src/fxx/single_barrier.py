@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .contracts import (BarrierSide, GreekSet, MarketEnvironment, OptionDirection,
                         SingleBarrierSpec, classify_single_barrier)
-from .errors import DomainError, NumericalError, PreconditionError
+from .errors import DomainError, NumericalError
 from .num_core import log_ratio
 from .num_core import std_normal_cdf as _N
 from .num_core import std_normal_pdf as _n
@@ -145,14 +145,10 @@ def greeks_single_barrier(env: MarketEnvironment, spec: SingleBarrierSpec) -> Gr
     """Analytic GreekSet of a single-barrier option.
 
     The recipe coefficients carry over from the price because the row
-    classification is locally constant in spot and volatility; exactly on
-    the strike/barrier boundary the combination is ambiguous and rejected.
+    classification depends on the strike and barrier alone, not on spot
+    or volatility.
     """
     spec.validate_against(env)
-    if spec.strike == spec.barrier:
-        raise PreconditionError(
-            "strike equals barrier: on the classification boundary the Greek "
-            "recipe is ambiguous; price only, or move off the boundary")
     row = classify_single_barrier(spec)
     sets = _greeks(env, row.phi, row.eta, spec.strike, spec.barrier)
     value, *rest = (row.combine(*parts) for parts in zip(*sets))

@@ -6,7 +6,8 @@ the pivot volatility. A 3x3 system matches the contract's vega, vanna
 and volga with a portfolio of the pivot options, and the adjustment is
 the portfolio-weighted market-versus-flat cost, which collapses to the
 risk-reversal and butterfly legs because the straddle leg carries no
-market-versus-flat gap.
+market-versus-flat gap. The 3x3 algebra is plain Python: one adjugate
+inverse gives the condition estimate, the solve and its refinement step.
 
 All pivot quantities (strikes, Greeks, flat prices) are evaluated at the
 pivot at-the-money volatility, which overrides the volatility carried by
@@ -16,8 +17,6 @@ the market environment.
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
-
-import numpy as np
 
 from .contracts import GreekSet, MarketEnvironment, OptionDirection
 from .double_barrier import SeriesConfig
@@ -94,12 +93,13 @@ class PivotSet:
 
 @dataclass(frozen=True)
 class PivotSystem:
-    """Pivot Greek matrix (columns: put-strike, atm, call-strike pivots;
-    rows vega/vanna/volga), the market-minus-flat pivot price gaps and a
-    condition estimate of the matrix."""
+    """Pivot Greek matrix as a tuple of rows (vega, vanna, volga) whose
+    columns are the put-strike, atm and call-strike pivots, the tuple of
+    market-minus-flat pivot price gaps and the 1-norm condition estimate
+    of the matrix."""
 
-    matrix: np.ndarray
-    gaps: np.ndarray
+    matrix: tuple
+    gaps: tuple
     condition: float
 
 
@@ -152,6 +152,28 @@ def build_pivots(env: MarketEnvironment, quotes: PivotQuotes) -> PivotSet:
     )
 
 
+def _inverse(m: tuple) -> tuple:
+    """Inverse of a 3x3 matrix from its adjugate (transposed cofactors)
+    over the determinant."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
+           (f * g - d * i, a * i - c * g, c * d - a * f),
+           (d * h - e * g, b * g - a * h, a * e - b * d))
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    if det == 0.0 or not math.isfinite(det):
+        raise IllConditionedError(f"pivot system is singular: determinant {det!r}")
+    return tuple(tuple(v / det for v in row) for row in adj)
+
+
+def _apply(m: tuple, v: tuple) -> tuple:
+    return tuple(row[0] * v[0] + row[1] * v[1] + row[2] * v[2] for row in m)
+
+
+def _norm1(m: tuple) -> float:
+    """Largest absolute column sum."""
+    return max(abs(a) + abs(b) + abs(c) for a, b, c in zip(*m))
+
+
 def build_pivot_system(env: MarketEnvironment, pivots: PivotSet) -> PivotSystem:
     """Pivot call Greeks at the flat vol plus market-minus-flat price gaps.
 
@@ -160,44 +182,41 @@ def build_pivot_system(env: MarketEnvironment, pivots: PivotSet) -> PivotSystem:
     Greeks. The gap entries price each pivot with its own quoted
     direction, at its market vol minus at the flat vol.
     """
-    matrix = np.empty((3, 3))
-    gaps = np.empty(3)
-    for j, pivot in enumerate(pivots):
+    columns = []
+    gaps = []
+    for pivot in pivots:
         env_flat = replace(env, sigma=pivot.bs_vol)
         greeks = gk_greeks(env_flat, OptionDirection.CALL, pivot.strike)
-        matrix[:, j] = (greeks.vega, greeks.vanna, greeks.volga)
+        columns.append((greeks.vega, greeks.vanna, greeks.volga))
         env_mkt = replace(env, sigma=pivot.market_vol)
-        gaps[j] = (gk_price(env_mkt, pivot.direction, pivot.strike)
-                   - gk_price(env_flat, pivot.direction, pivot.strike))
-    if not np.all(np.isfinite(matrix)):
-        raise IllConditionedError("pivot Greek matrix contains non-finite entries")
-    try:
-        inv = np.linalg.inv(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(f"pivot system is singular: {exc}") from exc
-    condition = float(np.linalg.norm(matrix, 1) * np.linalg.norm(inv, 1))
+        gaps.append(gk_price(env_mkt, pivot.direction, pivot.strike)
+                    - gk_price(env_flat, pivot.direction, pivot.strike))
+    matrix = tuple(zip(*columns))
+    condition = _norm1(matrix) * _norm1(_inverse(matrix))
     if not math.isfinite(condition) or condition > _MAX_CONDITION:
         raise IllConditionedError(
             f"pivot system condition estimate {condition:.3e} exceeds "
             f"{_MAX_CONDITION:.0e}; pivots are too close to distinguish")
-    return PivotSystem(matrix=matrix, gaps=gaps, condition=condition)
+    return PivotSystem(matrix=matrix, gaps=tuple(gaps), condition=condition)
 
 
 def vv_weights(target: GreekSet, system: PivotSystem) -> tuple:
     """Hedge weights on the pivot columns matching the target's vega,
-    vanna and volga; solved with partial pivoting plus one step of
-    iterative refinement."""
-    rhs = np.array([target.vega, target.vanna, target.volga])
-    x = np.linalg.solve(system.matrix, rhs)
-    residual = rhs - system.matrix @ x
-    x = x + np.linalg.solve(system.matrix, residual)
-    residual = rhs - system.matrix @ x
-    scale = np.linalg.norm(rhs)
-    if scale > 0.0 and np.linalg.norm(residual) > 1e-10 * scale:
+    vanna and volga: the adjugate inverse of the matrix applied to the
+    target, plus one step of iterative refinement with the same inverse."""
+    rhs = (target.vega, target.vanna, target.volga)
+    inv = _inverse(system.matrix)
+
+    def residual(x):
+        return tuple(t - v for t, v in zip(rhs, _apply(system.matrix, x)))
+
+    x = _apply(inv, rhs)
+    x = tuple(u + v for u, v in zip(x, _apply(inv, residual(x))))
+    error, scale = math.hypot(*residual(x)), math.hypot(*rhs)
+    if scale > 0.0 and error > 1e-10 * scale:
         raise IllConditionedError(
-            f"pivot solve residual {np.linalg.norm(residual):.3e} too large "
-            f"versus rhs norm {scale:.3e}")
-    return tuple(float(v) for v in x)
+            f"pivot solve residual {error:.3e} too large versus rhs norm {scale:.3e}")
+    return x
 
 
 def vv_adjustment(weights: tuple, system: PivotSystem) -> tuple:
@@ -209,7 +228,7 @@ def vv_adjustment(weights: tuple, system: PivotSystem) -> tuple:
     construction and only its weight is reported.
     """
     w_put, w_atm, w_call = weights
-    gap_put, _, gap_call = (float(g) for g in system.gaps)
+    gap_put, _, gap_call = system.gaps
     x_rr = 0.5 * (w_call - w_put)
     x_bf = w_call + w_put
     x_atm = w_atm + x_bf

@@ -180,11 +180,35 @@ class TestGreeks:
         for comp in ("delta", "vega", "vanna", "volga"):
             assert analytic[comp] == pytest.approx(fd[comp], rel=1e-5, abs=1e-5)
 
-    def test_boundary_exits_3(self, tmp_path, capsys):
-        contract = dict(UP_OUT, strike=110.0)
-        code, _, err = run(capsys, "greeks", write_request(tmp_path, contract))
-        assert code == 3
-        assert "boundary" in err
+    def test_boundary_strike_equals_barrier_exits_0(self, tmp_path, capsys):
+        # at K = B the table row is still unique: its Greeks match the
+        # extrapolated stencil of the price
+        from support import fd_noise_floors, greek_oracle_bumps, greek_tolerance, richardson_fd
+
+        from fxx import price_single_barrier
+        from fxx.cli import parse_request
+
+        request = write_request(tmp_path, dict(UP_OUT, strike=110.0))
+        code, out, _ = run(capsys, "greeks", request)
+        assert code == 0
+        record = record_of(out)
+        env, spec = parse_request(request)
+        assert record["value"] == price_single_barrier(env, spec)
+        bumps = greek_oracle_bumps(env)
+        p00, fd = richardson_fd(lambda e: price_single_barrier(e, spec), env, bumps)
+        floors = fd_noise_floors(p00, env, bumps)
+        for comp in ("delta", "vega", "vanna", "volga"):
+            assert abs(record[comp] - fd[comp]) <= greek_tolerance(record[comp], fd[comp],
+                                                                   floors[comp])
+
+    def test_fd_overflow_exits_4(self, tmp_path, capsys):
+        # the price is finite, but a stencil difference overflows: an
+        # arithmetic failure, as on the analytic route
+        market = dict(MARKET, spot=1.7e308, domestic_rate=0.0, foreign_rate=0.0)
+        request = write_request(tmp_path, dict(VANILLA, strike=1.0), market)
+        code, out, err = run(capsys, "greeks", request, "--method", "fd")
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"] == "numerical"
 
     def test_numerical_failure_inside_stencil_exits_4(self, tmp_path, capsys):
         # the corridor pricer overflows at a stencil point: a numerical

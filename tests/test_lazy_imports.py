@@ -1,5 +1,6 @@
-"""The closed-form commands never import numpy or scipy, and every public
-name of the package still resolves, numpy-backed or not.
+"""Only the Monte Carlo engine imports numpy or scipy: `price`, `greeks`
+and `vv-price` load neither, and every public name of the package still
+resolves, numpy-backed or not.
 
 The checks run in one fresh interpreter: this test process has numpy
 loaded already.
@@ -78,8 +79,8 @@ def test_price_and_greeks_load_neither_numpy_nor_scipy(child_report):
     assert child_report["after_closed_forms"] == []
 
 
-def test_vv_price_loads_numpy_only(child_report):
-    assert child_report["after_vv_price"] == ["numpy"]
+def test_vv_price_loads_neither_numpy_nor_scipy(child_report):
+    assert child_report["after_vv_price"] == []
 
 
 def test_every_public_name_resolves(child_report):

@@ -145,11 +145,26 @@ class TestOptionGreeks:
                               greek_oracle_bumps(ENV))
         assert greeks.vega == pytest.approx(fd["vega"], rel=1e-5)
 
-    def test_boundary_strike_equals_barrier_rejected(self):
-        spec = SingleBarrierSpec(CALL, 110.0, 110.0, UP, OUT)
-        assert price_single_barrier(ENV, spec) >= 0.0  # price stays defined
-        with pytest.raises(PreconditionError, match="boundary"):
-            greeks_single_barrier(ENV, spec)
+    def test_boundary_strike_equals_barrier_matches_fd(self):
+        # the table row depends on K against B alone, so at K = B its Greeks
+        # are those of the price: every (direction, side, knock) at B 90 or
+        # 120, and the up-and-out call at K = B = 110
+        from support import fd_noise_floors, greek_oracle_bumps, greek_tolerance, richardson_fd
+
+        specs = [SingleBarrierSpec(direction, barrier, barrier, side, knock)
+                 for direction in (CALL, PUT) for knock in (IN, OUT)
+                 for barrier, side in ((90.0, LOW), (120.0, UP))]
+        specs.append(SingleBarrierSpec(CALL, 110.0, 110.0, UP, OUT))
+        bumps = greek_oracle_bumps(ENV)
+        for spec in specs:
+            greeks = greeks_single_barrier(ENV, spec)
+            assert greeks.value == price_single_barrier(ENV, spec)
+            p00, fd = richardson_fd(lambda e, spec=spec: price_single_barrier(e, spec),
+                                    ENV, bumps)
+            floors = fd_noise_floors(p00, ENV, bumps)
+            for comp in ("delta", "vega", "vanna", "volga"):
+                a, f = getattr(greeks, comp), fd[comp]
+                assert abs(a - f) <= greek_tolerance(a, f, floors[comp]), (spec, comp)
 
 
 class TestFormulaSuiteOnGrid:

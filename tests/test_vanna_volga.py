@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fxx import (DomainError, GreekSet, IllConditionedError,
                  MarketEnvironment, OptionDirection, Pivot, PivotQuotes, PivotSet,
@@ -10,6 +12,7 @@ from fxx import (DomainError, GreekSet, IllConditionedError,
                  atm_strike, build_pivot_system, build_pivots,
                  gk_greeks, gk_price, solve_delta_strike, vv_price, vv_weights)
 from fxx.vanna_volga import vv_adjustment
+from test_domain_properties import directions, distances, markets, moneyness
 
 CALL, PUT = OptionDirection.CALL, OptionDirection.PUT
 ENV = MarketEnvironment(spot=100.0, r_d=0.03, r_f=0.01, sigma=0.2, T=1.0)
@@ -86,8 +89,8 @@ class TestPivotSystem:
         env = MarketEnvironment(100.0, 0.02, 0.02, 0.2, 1.0)
         quotes = PivotQuotes(sigma_atm=0.2)
         system = build_pivot_system(env, build_pivots(env, quotes))
-        vega_scale = abs(system.matrix[0, 1])
-        assert abs(system.matrix[2, 1]) < 1e-10 * vega_scale
+        vega_scale = abs(system.matrix[0][1])
+        assert abs(system.matrix[2][1]) < 1e-10 * vega_scale
 
     def test_vanna_zero_sits_at_median_forward_strike(self):
         # under zero drift the vanna zero is the median-forward strike
@@ -109,7 +112,7 @@ class TestPivotSystem:
                 lambda e, p=pivot: gk_price(e, CALL, p.strike), ENV, bumps)
             floors = fd_noise_floors(p00, ENV, bumps)
             for i, comp in enumerate(("vega", "vanna", "volga")):
-                a, f = system.matrix[i, j], fd[comp]
+                a, f = system.matrix[i][j], fd[comp]
                 assert abs(a - f) <= max(1e-6 * max(abs(a), abs(f)), floors[comp])
 
     def test_gap_vector(self):
@@ -256,3 +259,68 @@ class TestVvPrice:
         pair = KikoSpec(PUT, 105.0, 92.0, BarrierSide.LOWER, 85.0, BarrierSide.LOWER)
         result = vv_price(ENV, pair, quotes)
         assert math.isfinite(result.adjustment)
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+smiles = st.builds(PivotQuotes, sigma_atm=st.floats(0.05, 0.4),
+                   sigma_rr25=st.floats(-0.03, 0.03), sigma_bf25=st.floats(0.0, 0.01))
+knocks = st.sampled_from((KnockType.IN, KnockType.OUT))
+
+
+class TestProperties:
+    @settings(PROPERTY, max_examples=100)
+    @given(markets, directions, moneyness, distances, st.booleans(), knocks)
+    @pytest.mark.filterwarnings("ignore::fxx.errors.TruncationWarning")
+    def test_flat_smile_adjustment_is_exactly_zero(self, env, direction, m, d, upper, knock):
+        from fxx import DoubleBarrierSpec
+
+        strike = env.spot * m
+        single = (SingleBarrierSpec(direction, strike, env.spot * d, BarrierSide.UPPER, knock)
+                  if upper else
+                  SingleBarrierSpec(direction, strike, env.spot / d, BarrierSide.LOWER, knock))
+        corridor = DoubleBarrierSpec(direction, strike, env.spot / d, env.spot * d, knock)
+        flat = PivotQuotes(sigma_atm=env.sigma)
+        for spec in (VanillaSpec(direction, strike), single, corridor):
+            result = vv_price(env, spec, flat)
+            assert result.adjustment == 0.0
+            assert result.vv_price == result.bs_price
+
+    @settings(PROPERTY, max_examples=100)
+    @given(markets, smiles)
+    def test_pivot_vanillas_reprice_at_market_vol(self, env, quotes):
+        for pivot in build_pivots(env, quotes):
+            market = gk_price(replace(env, sigma=pivot.market_vol), pivot.direction,
+                              pivot.strike)
+            result = vv_price(env, VanillaSpec(pivot.direction, pivot.strike), quotes)
+            assert abs(result.vv_price - market) <= 1e-8 * max(1.0, market)
+
+    @settings(PROPERTY, max_examples=150)
+    @given(markets, smiles, directions, moneyness, st.floats(1e-3, 1e-2), st.booleans())
+    def test_weights_match_high_precision_solve(self, env, quotes, direction, m, near, above):
+        # The reference solves the same float matrix and right-hand sides in
+        # 40 digits. Next to the ATM pivot strike the target's volga nearly
+        # vanishes; there the componentwise (Oettli-Prager) backward error
+        # shows whether the refinement step made the solve backward stable.
+        import mpmath
+        from support import EPS
+
+        env_atm = replace(env, sigma=quotes.sigma_atm)
+        pivots = build_pivots(env, quotes)
+        system = build_pivot_system(env_atm, pivots)
+        step = near * quotes.sigma_atm * math.sqrt(env.T)
+        near_atm = pivots.atm.strike * math.exp(step if above else -step)
+        with mpmath.workdps(40):
+            matrix = mpmath.matrix([list(row) for row in system.matrix])
+            condition = mpmath.mnorm(matrix, 1) * mpmath.mnorm(mpmath.inverse(matrix), 1)
+            assert abs(system.condition - condition) <= 1e-13 * condition
+            for strike in (env.spot * m, near_atm):
+                target = gk_greeks(env_atm, direction, strike)
+                rhs = (target.vega, target.vanna, target.volga)
+                x = vv_weights(target, system)
+                exact = mpmath.lu_solve(matrix, mpmath.matrix(list(rhs)))
+                scale = max(abs(v) for v in exact)
+                assert max(abs(exact[i] - x[i]) for i in range(3)) <= 1e-13 * scale
+                for row, b in zip(system.matrix, rhs):
+                    residual = b - mpmath.fsum(mpmath.mpf(a) * v for a, v in zip(row, x))
+                    size = mpmath.fsum(abs(mpmath.mpf(a) * v) for a, v in zip(row, x)) + abs(b)
+                    assert abs(residual) <= 2.0 * EPS * size
