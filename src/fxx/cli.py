@@ -265,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bridge", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads (default: the CPUs this process may run on)")
     p.set_defaults(fn=_cmd_mc_check)
     return parser
 

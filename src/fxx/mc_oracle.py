@@ -6,10 +6,17 @@ probability ``exp(-2 ln(S_i/B) ln(S_{i+1}/B) / (sigma^2 dt))`` of the
 bridge between consecutive points; the per-step survival probabilities
 multiply along the path (and across barriers) and one uniform draw per
 path thins against the product, which has the same joint law as
-thinning every step separately. Steps whose endpoints sit further than
-five bridge standard deviations from a barrier contribute a survival
-factor that rounds to exactly 1.0 in double precision, so they are
-skipped without changing any bit of the result.
+thinning every step separately. A step whose two endpoints both sit at
+least five bridge standard deviations from a barrier has an exponent of
+at most -50, so its survival factor rounds to exactly 1.0 in double
+precision. Such steps are skipped one by one, and the remaining factors
+multiply in step order, so no bit of the result changes.
+
+Each chunk of 512 paths lives in one ``(paths, steps)`` float64 array:
+the path uniforms are drawn into it, and the normal transform, scaling,
+drift and cumulative sum overwrite it in place. A worker therefore holds
+about 512 x steps x 8 bytes of path at a time, and ``mc_price_batch``
+runs one worker per CPU this process may use unless told otherwise.
 
 Streams are keyed by (seed, chunk index, stream role) through
 ``SeedSequence``, which makes every estimate bit-reproducible for any
@@ -17,6 +24,7 @@ thread count and independent of which contracts are batched together.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -94,8 +102,15 @@ class _BarrierPlan:
             else:
                 dist = self.log_level - log_path[rows]
             first = 1.0 - np.exp(self.coef * self.spot_gap * dist[:, 0])
-            inner = 1.0 - np.exp(self.coef * dist[:, :-1] * dist[:, 1:])
-            weights[rows] = first * np.prod(inner, axis=1)
+            # a step with both ends at least `margin` away has factor 1.0
+            # exactly; ufunc.at multiplies the rest in step order, which
+            # reproduces np.prod over every step bit for bit
+            close = dist < self.margin
+            row, step = np.nonzero(close[:, :-1] | close[:, 1:])
+            inner = np.ones(rows.size)
+            np.multiply.at(inner, row, 1.0 - np.exp(
+                self.coef * dist[row, step] * dist[row, step + 1]))
+            weights[rows] = first * inner
         return weights
 
 
@@ -137,12 +152,12 @@ class _SimulatedChunk:
         dt = env.T / cfg.n_steps
         drift = (env.drift - 0.5 * env.sigma * env.sigma) * dt
         vol = env.sigma * math.sqrt(dt)
-        u = _rng(cfg, index, _STREAM_PATH).random((n_paths, cfg.n_steps))
-        np.maximum(u, 2.0**-54, out=u)  # the generator can emit exactly 0.0
-        z = ndtri(u)
-        z *= vol
-        z += drift
-        self.log_path = np.cumsum(z, axis=1)
+        path = _rng(cfg, index, _STREAM_PATH).random((n_paths, cfg.n_steps))
+        np.maximum(path, 2.0**-54, out=path)  # the generator can emit exactly 0.0
+        ndtri(path, out=path)
+        path *= vol
+        path += drift
+        self.log_path = np.cumsum(path, axis=1, out=path)
         self.path_min = self.log_path.min(axis=1)
         self.path_max = self.log_path.max(axis=1)
         self.terminal = env.spot * np.exp(self.log_path[:, -1])
@@ -170,13 +185,26 @@ class _SimulatedChunk:
         return self._uniforms[role]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def mc_price_batch(env: MarketEnvironment, specs, cfg: McConfig,
-                   threads: int = 1) -> list:
+                   threads: int | None = None) -> list:
     """Estimate several contracts on one shared path stream.
 
     Every estimate is bit-identical to pricing the contract alone with
     the same config, so batching is purely a performance feature.
+    ``threads`` defaults to the CPUs this process may run on; the
+    estimates are the same bytes for any count.
     """
+    if threads is None:
+        threads = _usable_cpus()
+    elif threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     plans = [_ContractPlan(env, cfg, spec) for spec in specs]
     n_chunks = (cfg.n_paths + _CHUNK - 1) // _CHUNK
     sums = np.zeros((len(plans), n_chunks))
@@ -212,6 +240,7 @@ def mc_price_batch(env: MarketEnvironment, specs, cfg: McConfig,
     return out
 
 
-def mc_price(env: MarketEnvironment, spec, cfg: McConfig, threads: int = 1) -> McEstimate:
+def mc_price(env: MarketEnvironment, spec, cfg: McConfig,
+             threads: int | None = None) -> McEstimate:
     """Monte Carlo estimate of one contract (vanilla or any barrier type)."""
     return mc_price_batch(env, [spec], cfg, threads=threads)[0]

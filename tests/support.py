@@ -4,6 +4,8 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
+
 from fxx import (BarrierSide, FdBumps, KnockType, MarketEnvironment,
                  OptionDirection, SingleBarrierSpec, fd_greeks)
 from fxx.single_barrier import abcd, greeks_abcd
@@ -142,3 +144,25 @@ def compare_parameter_greeks(env, direction, side, strike, barrier):
         worst = max(worst, abs(analytic.volga - volga_chain)
                     / greek_tolerance(analytic.volga, volga_chain, 8 * EPS * vega_scale / k))
     return worst
+
+
+def dense_bridge_survival(env: MarketEnvironment, n_steps: int, barrier: float,
+                          side: BarrierSide, log_path) -> np.ndarray:
+    """Bridge survival of each simulated path, every step evaluated.
+
+    The reference for the Monte Carlo engine's sparse product: the factor
+    1 - exp(-2 d_i d_{i+1} / (sigma^2 dt)) at every step, d being the log
+    distance to the barrier (spot at d_0), multiplied along the path by
+    ``np.prod``; 0 on a path that reaches the barrier."""
+    log_level = math.log(barrier / env.spot)
+    dt = env.T / n_steps
+    coef = -2.0 / (env.sigma * env.sigma * dt)
+    if side == BarrierSide.LOWER:
+        dist, spot_gap = log_path - log_level, -log_level
+    else:
+        dist, spot_gap = log_level - log_path, log_level
+    first = 1.0 - np.exp(coef * spot_gap * dist[:, 0])
+    inner = 1.0 - np.exp(coef * dist[:, :-1] * dist[:, 1:])
+    weights = first * np.prod(inner, axis=1)
+    weights[(dist <= 0.0).any(axis=1)] = 0.0
+    return weights

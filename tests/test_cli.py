@@ -283,6 +283,12 @@ class TestMcCheck:
         assert abs(record["z_score"]) < 4.0
         assert record["std_error"] > 0.0
 
+    def test_zero_threads_exits_3(self, tmp_path, capsys):
+        code, out, err = run(capsys, "mc-check", write_request(tmp_path, VANILLA),
+                             "--paths", "100", "--steps", "8", "--threads", "0")
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "precondition"
+
     def test_repeat_run_bit_identical(self, tmp_path, capsys):
         args = ("mc-check", write_request(tmp_path, VANILLA),
                 "--paths", "10000", "--steps", "8", "--seed", "5")

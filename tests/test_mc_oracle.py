@@ -1,11 +1,16 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fxx import (BarrierSide, DomainError, DoubleBarrierSpec, KnockType,
                  MarketEnvironment, McConfig, OptionDirection, PreconditionError,
                  SingleBarrierSpec, VanillaSpec, gk_price, mc_price,
                  mc_price_batch, price_single_barrier)
+from fxx.mc_oracle import _BarrierPlan, _SimulatedChunk
+
+from support import dense_bridge_survival
 
 CALL, PUT = OptionDirection.CALL, OptionDirection.PUT
 UP, LOW = BarrierSide.UPPER, BarrierSide.LOWER
@@ -22,6 +27,9 @@ class TestConfig:
             McConfig(n_paths=10, n_steps=0)
         with pytest.raises(DomainError):
             McConfig(n_paths=10, n_steps=10, seed=-1)
+        with pytest.raises(DomainError):
+            mc_price(ENV, VanillaSpec(CALL, 100.0), McConfig(n_paths=10, n_steps=10),
+                     threads=0)
 
 
 class TestVanilla:
@@ -53,10 +61,11 @@ class TestDeterminism:
         assert first.std_error == second.std_error
 
     def test_bit_identical_across_thread_counts(self):
-        cfg = McConfig(n_paths=30_000, n_steps=60, seed=42)
         spec = DoubleBarrierSpec(PUT, 100.0, 88.0, 115.0, OUT)
-        results = [mc_price(ENV, spec, cfg, threads=t) for t in (1, 4, 8)]
-        assert len({(r.price, r.std_error) for r in results}) == 1
+        for n_paths in (30_000, 300):  # many chunks; one partial chunk
+            cfg = McConfig(n_paths=n_paths, n_steps=60, seed=42)
+            results = [mc_price(ENV, spec, cfg, threads=t) for t in (1, 4, 8)]
+            assert len({(r.price, r.std_error) for r in results}) == 1
 
     def test_batching_does_not_change_estimates(self):
         cfg = McConfig(n_paths=20_000, n_steps=60, seed=5)
@@ -110,3 +119,23 @@ class TestBarrierPayoffs:
         spec = SingleBarrierSpec(CALL, 100.0, 105.0, LOW, OUT)
         with pytest.raises(PreconditionError):
             mc_price(ENV, spec, McConfig(n_paths=100, n_steps=10, seed=0))
+
+
+class TestSparseBridge:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(side=st.sampled_from((UP, LOW)), sds=st.floats(0.05, 12.0),
+           sigma=st.floats(0.05, 0.6), T=st.floats(0.05, 2.0),
+           n_steps=st.integers(1, 400), seed=st.integers(0, 2**64 - 1))
+    def test_survival_equals_dense_product_bit_for_bit(self, side, sds, sigma, T,
+                                                       n_steps, seed):
+        # the barrier sits `sds` bridge SDs from spot, on both sides of the
+        # five-SD margin, so near and far rows and steps all occur
+        env = MarketEnvironment(spot=100.0, r_d=0.03, r_f=0.01, sigma=sigma, T=T)
+        cfg = McConfig(n_paths=64, n_steps=n_steps, seed=seed)
+        gap = sds * sigma * math.sqrt(T / n_steps)
+        barrier = env.spot * math.exp(gap if side == UP else -gap)
+        chunk = _SimulatedChunk(env, cfg, 0, cfg.n_paths)
+        got = _BarrierPlan(env, cfg, barrier, side).survival(
+            chunk.log_path, chunk.path_min, chunk.path_max, True)
+        want = dense_bridge_survival(env, n_steps, barrier, side, chunk.log_path)
+        assert got.tobytes() == want.tobytes()
