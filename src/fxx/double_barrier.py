@@ -2,10 +2,12 @@
 series, double knock-ins via parity, mixed in/out pairs via replication.
 
 The knock-out call/put series (Ikeda & Kunitomo, 1992) sums
-reflected-image terms indexed by ``n``; five terms either side suffice at
-desk scales and a tail check warns when they do not. Greeks are produced
-by central finite differences on the truncated series (double knock-in
-Greeks follow from parity against the vanilla closed form).
+reflected-image terms indexed by ``n``. Each call sums n = -m..m for the
+smallest m whose closed-form bound on the omitted terms lies below the
+tail tolerance, capped at ``SeriesConfig.n_max``; at the cap a tail check
+warns when the first omitted terms are not negligible. Greeks are
+produced by central finite differences on the truncated series (double
+knock-in Greeks follow from parity against the vanilla closed form).
 """
 
 import math
@@ -25,12 +27,16 @@ from .vanilla import _discounts, gk_greeks, gk_price
 
 # leaves room for the spot/strike prefactors before the double range ends
 _LOG_OVERFLOW = 690.0
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Truncation control: the series runs n = -n_max..n_max and the
-    first omitted terms, |n| = n_max + 1, must stay below ``tail_tol``."""
+    """Truncation control. A price sums n = -m..m, m being the smallest
+    count up to ``n_max`` whose bound on every omitted term lies below
+    ``tail_tol`` (in price units). When no count up to ``n_max`` passes,
+    the series runs to ``n_max`` and the first omitted terms,
+    |n| = n_max + 1, must stay below ``tail_tol``."""
 
     n_max: int = 5
     tail_tol: float = 1e-12
@@ -61,6 +67,55 @@ def _pow_times(log_power: float, diff: float) -> float:
     return math.exp(x)
 
 
+def _tail_bound(pieces: tuple, k: int, limit: float) -> float:
+    """Bound, in price units, on what the image series terms with |n| >= k
+    add. Once the running sum reaches ``limit`` it stops there.
+
+    ``pieces`` holds the eight nonnegative parts the terms are made of
+    (image and reflected, asset and cash, for n > 0 and for n < 0), each
+    as a function of k = |n|: e^(log_scale + slope k) (N(hi) - N(lo)), with
+    hi = hi0 + step k and lo = lo0 + step k. ``log_scale`` includes the
+    log of the part's unit, S or K, less log sqrt(2 pi).
+
+    With dist the distance from 0 to [lo, hi] and w = hi - lo,
+    N(hi) - N(lo) <= phi(dist) min(1/dist, w): by Mills' ratio,
+    N(-x) <= phi(x)/x, when the interval lies on one side of 0, and
+    because phi is at most phi(dist) on the interval. dist is convex in
+    k, so log(e^power phi(dist)) is concave in k. Once one step shrinks it
+    by a ratio r < 1, every later step shrinks it at least as much, and
+    the sum from k on is at most its value at k over 1 - r. A part whose
+    ratio at k is not below 1 has not passed its peak, which drift and
+    maturity can put at any k; the bound is then infinite.
+    """
+    total = 0.0
+    for log_scale, slope, hi0, lo0, step in pieces:
+        hi, lo = hi0 + step * k, lo0 + step * k
+        dist = lo if lo > 0.0 else (-hi if hi < 0.0 else 0.0)
+        hi, lo = hi + step, lo + step
+        dist_next = lo if lo > 0.0 else (-hi if hi < 0.0 else 0.0)
+        log_r = slope - 0.5 * (dist_next * dist_next - dist * dist)
+        log_first = log_scale + slope * k - 0.5 * dist * dist
+        if not (log_r < 0.0 and log_first < _LOG_OVERFLOW):
+            return math.inf
+        width = hi0 - lo0
+        # min(1/dist, w) also bounds every later k: once dist grows, it
+        # keeps growing
+        h = 1.0 / dist if dist_next >= dist and dist * width > 1.0 else width
+        total += math.exp(log_first) * h / -math.expm1(log_r)
+        if total >= limit:
+            break
+    return total
+
+
+def _series_cut(pieces: tuple, cfg: SeriesConfig):
+    """Smallest m in 1..cfg.n_max whose bound on the terms |n| > m lies
+    below ``cfg.tail_tol``; None when there is none."""
+    for m in range(1, cfg.n_max + 1):
+        if _tail_bound(pieces, m + 1, cfg.tail_tol) < cfg.tail_tol:
+            return m
+    return None
+
+
 def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
                cfg: SeriesConfig = SeriesConfig()) -> float:
     """Double knock-out price from the truncated image series.
@@ -68,9 +123,12 @@ def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
     Any strike is accepted. The strike enters the d-terms only as the
     limit of the payoff's range inside the corridor, so it is clipped to
     [L, U] there while the cash leg keeps K; a call with K >= U or a put
-    with K <= L is worth exactly 0.0. The result is clamped to
-    [0, vanilla]; if the first omitted terms reach ``cfg.tail_tol`` a
-    TruncationWarning is issued.
+    with K <= L is worth exactly 0.0. The series sums n = -m..m in
+    ascending order, m being the smallest count up to ``cfg.n_max`` whose
+    closed-form bound on all omitted terms (``_tail_bound``) lies below
+    ``cfg.tail_tol``. When none does, it sums to ``cfg.n_max`` and warns
+    (TruncationWarning) if the first omitted terms reach ``cfg.tail_tol``.
+    The result is clamped to [0, vanilla].
     """
     if spec.knock != KnockType.OUT:
         raise PreconditionError("koko_price prices knock-out corridors only")
@@ -120,7 +178,25 @@ def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
                 tail += abs(term_asset) * S + abs(term_cash) * K
         return sum_asset, sum_cash, tail
 
-    sum_asset, sum_cash, tail = series(range(-cfg.n_max, cfg.n_max + 1), cfg.n_max)
+    # the eight parts of the terms as functions of k = |n| (see
+    # _tail_bound): image and reflected, asset and cash, for n > 0 then n < 0
+    c = 2.0 * ln_UL / s
+    a1, a2 = (x1 + nu_T) / s, (x2 + nu_T) / s
+    a3, a4 = (x3 + nu_T) / s, (x4 + nu_T) / s
+    b1, b2, b3, b4 = a1 - s, a2 - s, a3 - s, a4 - s
+    img_S, img_K = ln_S - _LOG_SQRT_2PI, math.log(K) - _LOG_SQRT_2PI
+    ref_S, ref_K = img_S + alpha * (ln_L - ln_S), img_K + (alpha - 2.0) * (ln_L - ln_S)
+    lp_a, lp_c = alpha * ln_UL, (alpha - 2.0) * ln_UL
+    pieces = ((img_S, lp_a, a1, a2, c), (img_K, lp_c, b1, b2, c),
+              (ref_S, -lp_a, a3, a4, -c), (ref_K, -lp_c, b3, b4, -c),
+              (img_S, -lp_a, a1, a2, -c), (img_K, -lp_c, b1, b2, -c),
+              (ref_S, lp_a, a3, a4, c), (ref_K, lp_c, b3, b4, c))
+    m = _series_cut(pieces, cfg)
+    if m is not None:
+        sum_asset, sum_cash, _ = series(range(-m, m + 1), m)
+        tail = 0.0  # the bound already covers every omitted term
+    else:
+        sum_asset, sum_cash, tail = series(range(-cfg.n_max, cfg.n_max + 1), cfg.n_max)
     F, D = _discounts(env)
     asset_leg = F * S * sum_asset
     cash_leg = D * K * sum_cash

@@ -22,7 +22,7 @@ from .contracts import GreekSet, MarketEnvironment, OptionDirection
 from .double_barrier import SeriesConfig
 from .errors import DomainError, IllConditionedError
 from .num_core import inv_std_normal_cdf
-from .router import greeks_contract, price_contract
+from .router import greeks_contract
 from .vanilla import gk_greeks, gk_price
 
 _MAX_CONDITION = 1e12
@@ -244,12 +244,14 @@ def vv_price(env: MarketEnvironment, spec, quotes: PivotQuotes,
 
     The flat price and its Greeks are evaluated at ``quotes.sigma_atm``
     (the env volatility is overridden); barrier contracts without closed
-    Greeks use the finite-difference engine.
+    Greeks use the finite-difference engine. The flat price is the Greek
+    set's value, which every route computes bit for bit as
+    ``price_contract`` does, so the contract is priced once.
     """
     env_atm = replace(env, sigma=quotes.sigma_atm)
-    bs_price, _rule = price_contract(env_atm, spec, series_cfg)
     target, _method, _notes = greeks_contract(env_atm, spec, method="analytic",
                                               series_cfg=series_cfg)
+    bs_price = target.value
     pivots = build_pivots(env, quotes)
     system = build_pivot_system(env_atm, pivots)
     weights = vv_weights(target, system)

@@ -2,9 +2,15 @@ import math
 import random
 import warnings
 from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import log_ndtr, logsumexp
 
+import fxx.double_barrier as double_barrier
 from fxx import (BarrierSide, DoubleBarrierSpec, KikoSpec, KnockType,
                  ClassificationError, MarketEnvironment, McConfig, OptionDirection,
                  PreconditionError, SeriesConfig, TruncationWarning, gk_greeks,
@@ -12,6 +18,7 @@ from fxx import (BarrierSide, DoubleBarrierSpec, KikoSpec, KnockType,
                  koko_greeks, koko_price, mc_price, mc_price_batch,
                  price_single_barrier, SingleBarrierSpec)
 from fxx.double_barrier import classify_kiko
+from test_domain_properties import _log_uniform
 
 CALL, PUT = OptionDirection.CALL, OptionDirection.PUT
 UP, LOW = BarrierSide.UPPER, BarrierSide.LOWER
@@ -157,6 +164,95 @@ class TestKnockOutCorridor:
         vanilla = gk_price(ENV, CALL, 100.0)
         assert -1e-10 <= koko <= min(up_out, down_out) + 1e-10
         assert min(up_out, down_out) <= vanilla + 1e-10
+
+
+def _log_ncdf_diff(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """log(N(hi) - N(lo)) for hi >= lo, from the tail each pair lies in."""
+    out = np.empty_like(hi)
+    pos, neg = lo > 0.0, hi < 0.0
+    mid = ~(pos | neg)
+    near, far = log_ndtr(-lo[pos]), log_ndtr(-hi[pos])
+    out[pos] = near + np.log1p(-np.exp(far - near))
+    near, far = log_ndtr(hi[neg]), log_ndtr(lo[neg])
+    out[neg] = near + np.log1p(-np.exp(far - near))
+    out[mid] = np.log(np.exp(log_ndtr(hi[mid])) - np.exp(log_ndtr(lo[mid])))
+    return out
+
+
+def _log_term_parts(env, spec, n: np.ndarray) -> np.ndarray:
+    """log, in price units, of the four nonnegative parts of each image
+    series term n (Ikeda & Kunitomo, 1992), summed: S times the image and
+    the reflected asset parts plus K times the two cash parts. Each part
+    is a power times N(d) - N(d') over the payoff's range [a, b] inside
+    the corridor, evaluated in log space so that no term overflows."""
+    S, K, L, U = env.spot, spec.strike, spec.lower, spec.upper
+    Kc = min(max(K, L), U)
+    a, b = (Kc, U) if spec.direction == CALL else (L, Kc)
+    s = env.sigma * math.sqrt(env.T)
+    mu = 2.0 * env.drift / env.sigma ** 2 + 1.0
+    nu_T = (env.drift + 0.5 * env.sigma ** 2) * env.T
+    width = math.log(U / L)
+    img_hi = (math.log(S / a) + 2.0 * n * width + nu_T) / s
+    img_lo = (math.log(S / b) + 2.0 * n * width + nu_T) / s
+    ref_hi = (math.log(L * L / (a * S)) - 2.0 * n * width + nu_T) / s
+    ref_lo = (math.log(L * L / (b * S)) - 2.0 * n * width + nu_T) / s
+    log_img = n * width                                              # ln (U/L)^n
+    log_ref = (n + 1.0) * math.log(L) - n * math.log(U) - math.log(S)  # ln L^{n+1}/(U^n S)
+    parts = (math.log(S) + mu * log_img + _log_ncdf_diff(img_hi, img_lo),
+             math.log(S) + mu * log_ref + _log_ncdf_diff(ref_hi, ref_lo),
+             math.log(K) + (mu - 2.0) * log_img + _log_ncdf_diff(img_hi - s, img_lo - s),
+             math.log(K) + (mu - 2.0) * log_ref + _log_ncdf_diff(ref_hi - s, ref_lo - s))
+    return np.logaddexp.reduce(np.array(parts), axis=0)
+
+
+# the desk, and long maturities at low volatility with a drift of either
+# sign, where the terms' peak in n moves away from n = 0
+_series_markets = st.one_of(
+    st.builds(MarketEnvironment, spot=st.floats(50.0, 200.0), r_d=st.floats(-0.02, 0.08),
+              r_f=st.floats(-0.02, 0.08), sigma=st.floats(0.05, 0.4), T=st.floats(0.1, 2.0)),
+    st.builds(MarketEnvironment, spot=st.floats(50.0, 200.0), r_d=st.floats(-0.05, 0.15),
+              r_f=st.floats(-0.05, 0.15), sigma=st.floats(0.02, 0.15), T=st.floats(2.0, 30.0)))
+
+
+@st.composite
+def image_corridors(draw):
+    """(env, knock-out corridor) at tau = ln(U/L)^2 / (sigma^2 T) from
+    pi/2 to 1e3, spot anywhere inside, any strike."""
+    env = draw(_series_markets)
+    tau = draw(_log_uniform(math.pi / 2.0, 1e3))
+    width = math.sqrt(tau) * env.sigma * math.sqrt(env.T)
+    lower = env.spot * math.exp(-width * draw(st.floats(0.02, 0.98)))
+    direction = draw(st.sampled_from((CALL, PUT)))
+    return env, DoubleBarrierSpec(direction, env.spot * draw(st.floats(0.5, 1.5)),
+                                  lower, lower * math.exp(width), OUT)
+
+
+class TestTermCount:
+    """koko_price sums n = -m..m for the smallest m in 1..n_max whose
+    closed-form bound on the omitted terms lies below tail_tol."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(image_corridors())
+    def test_bound_covers_the_omitted_terms(self, case):
+        env, spec = case
+        with mock.patch.object(double_barrier, "_series_cut",
+                               wraps=double_barrier._series_cut) as cut:
+            price = koko_price(env, spec)
+        assume(cut.called)  # no series for a payoff outside the corridor
+        (pieces, cfg), _ = cut.call_args
+        m = double_barrier._series_cut(pieces, cfg)
+        assert m is not None and 1 <= m <= cfg.n_max
+        n = np.arange(-60.0, 61.0)
+        parts = _log_term_parts(env, spec, n)
+        log_tol = math.log(cfg.tail_tol)
+        omitted = logsumexp(parts[np.abs(n) > m])
+        bound = double_barrier._tail_bound(pieces, m + 1, math.inf)
+        assert omitted < log_tol
+        # a bound below 1e-300 is subnormal near its end and keeps few digits
+        assert omitted <= math.log(max(bound, 1e-300)) + 1e-9
+        if m > 1:  # m - 1 was rejected: its omitted terms come near tail_tol
+            assert logsumexp(parts[np.abs(n) > m - 1]) > log_tol - 2.0
+        assert abs(price - koko_price(env, spec, SeriesConfig(n_max=50))) < cfg.tail_tol
 
 
 class TestKnockInCorridor:

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fxx import (DomainError, GreekSet, IllConditionedError,
+from fxx import (DomainError, DoubleBarrierSpec, GreekSet, IllConditionedError, KikoSpec,
                  MarketEnvironment, OptionDirection, Pivot, PivotQuotes, PivotSet,
                  SingleBarrierSpec, BarrierSide, KnockType, VanillaSpec,
                  atm_strike, build_pivot_system, build_pivots,
-                 gk_greeks, gk_price, solve_delta_strike, vv_price, vv_weights)
+                 gk_greeks, gk_price, price_contract, solve_delta_strike, vv_price,
+                 vv_weights)
 from fxx.vanna_volga import vv_adjustment
 from test_domain_properties import directions, distances, markets, moneyness
 
@@ -156,6 +157,19 @@ class TestWeights:
 
 class TestVvPrice:
     QUOTES = PivotQuotes(sigma_atm=0.10, sigma_rr25=-0.015, sigma_bf25=0.002)
+
+    @pytest.mark.parametrize("spec", [
+        VanillaSpec(CALL, 105.0),
+        SingleBarrierSpec(PUT, 95.0, 88.0, BarrierSide.LOWER, KnockType.OUT),
+        DoubleBarrierSpec(CALL, 100.0, 85.0, 115.0, KnockType.OUT),
+        DoubleBarrierSpec(PUT, 100.0, 85.0, 115.0, KnockType.IN),
+        KikoSpec(CALL, 100.0, 90.0, BarrierSide.LOWER, 115.0, BarrierSide.UPPER),
+    ], ids=["vanilla", "single", "koko", "kiki", "kiko"])
+    def test_flat_price_is_price_contract(self, spec):
+        # the flat price is the Greek set's value, never a second pricing
+        result = vv_price(ENV, spec, self.QUOTES)
+        env_atm = replace(ENV, sigma=self.QUOTES.sigma_atm)
+        assert result.bs_price == price_contract(env_atm, spec)[0]
 
     def test_flat_smile_no_adjustment(self):
         quotes = PivotQuotes(sigma_atm=0.2)
