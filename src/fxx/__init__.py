@@ -14,14 +14,13 @@ from .contracts import (BarrierSide, DoubleBarrierSpec, GreekSet, KikoSpec,
                         KnockType, MarketEnvironment, OptionDirection,
                         SingleBarrierSpec, TableRow, VanillaSpec,
                         classify_single_barrier)
-from .double_barrier import (SeriesConfig, kiki_greeks, kiki_price, kiko_greeks,
-                             kiko_price, koko_greeks, koko_price)
+from .double_barrier import SeriesConfig, kiki_price, kiko_price, koko_price
 from .errors import (ClassificationError, DomainError, IllConditionedError,
                      NumericalError, PreconditionError, PricingError,
                      TruncationWarning)
 from .greeks_fd import FdBumps, fd_greeks
 from .num_core import erf, erfc, inv_std_normal_cdf, std_normal_cdf, std_normal_pdf
-from .router import greeks_contract, price_contract
+from .router import greeks_contract, kiki_greeks, kiko_greeks, koko_greeks, price_contract
 from .single_barrier import (AbcdValues, abcd, greeks_abcd, greeks_single_barrier,
                              price_single_barrier)
 from .vanilla import gk_greeks, gk_price

@@ -18,7 +18,6 @@ import sys
 from .contracts import DoubleBarrierSpec, KnockType, MarketEnvironment, VanillaSpec
 from .double_barrier import SeriesConfig
 from .errors import NumericalError, PricingError
-from .greeks_fd import FdBumps
 from .router import _CONTRACTS, greeks_contract, price_contract
 from .vanilla import d1_d2
 
@@ -176,8 +175,7 @@ def _cmd_price(args) -> int:
 def _cmd_greeks(args) -> int:
     env, spec = parse_request(args.request)
     greeks, method, notices = greeks_contract(env, spec, method=args.method,
-                                              series_cfg=_series_config(),
-                                              bumps=FdBumps())
+                                              series_cfg=_series_config())
     record = {"command": "greeks", "contract": type(spec).__name__,
               "method": method, "value": greeks.value, "delta": greeks.delta,
               "vega": greeks.vega, "vanna": greeks.vanna, "volga": greeks.volga}

@@ -5,25 +5,22 @@ The knock-out call/put series (Ikeda & Kunitomo, 1992) sums
 reflected-image terms indexed by ``n``. Each call sums n = -m..m for the
 smallest m whose closed-form bound on the omitted terms lies below the
 tail tolerance, capped at ``SeriesConfig.n_max``; at the cap a tail check
-warns when the first omitted terms are not negligible. Greeks are
-produced by central finite differences on the truncated series (double
-knock-in Greeks follow from parity against the vanilla closed form).
+warns when the first omitted terms are not negligible. Greeks of these
+contracts come from the finite-difference route in ``fxx.router``.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, replace
 
-from .contracts import (BarrierSide, DoubleBarrierSpec, GreekSet, KikoSpec,
-                        KnockType, MarketEnvironment, OptionDirection,
-                        SingleBarrierSpec)
+from .contracts import (BarrierSide, DoubleBarrierSpec, KikoSpec, KnockType,
+                        MarketEnvironment, OptionDirection, SingleBarrierSpec)
 from .errors import (ClassificationError, NumericalError, PreconditionError,
                      TruncationWarning)
-from .greeks_fd import FdBumps, fd_greeks
 from .num_core import log_ratio
 from .num_core import std_normal_cdf as _N
 from .single_barrier import _NEGATIVE_CLAMP, price_single_barrier
-from .vanilla import _discounts, gk_greeks, gk_price
+from .vanilla import _discounts, gk_price
 
 # leaves room for the spot/strike prefactors before the double range ends
 _LOG_OVERFLOW = 690.0
@@ -282,46 +279,3 @@ def kiko_price(env: MarketEnvironment, spec: KikoSpec,
             knock=KnockType.OUT), cfg)
     return 0.0 if -_NEGATIVE_CLAMP <= price < 0.0 else price
 
-
-_MIN_REL_BUMP = 1e-12
-
-
-def _shrink_spot_bump(env: MarketEnvironment, bumps: FdBumps, *walls: float) -> FdBumps:
-    """Keep the spot stencil strictly on spot's side of every barrier."""
-    h = bumps.dS_rel * env.spot
-    room = min(abs(env.spot - w) for w in walls)
-    if h >= room:
-        h = 0.5 * room
-    if h <= _MIN_REL_BUMP * env.spot:
-        raise PreconditionError(
-            f"spot {env.spot} is too close to a barrier to difference across "
-            f"(room {room!r}); Greeks unavailable here")
-    return FdBumps(dS_rel=h / env.spot, dSigma_abs=min(bumps.dSigma_abs, 0.5 * env.sigma))
-
-
-def koko_greeks(env: MarketEnvironment, spec: DoubleBarrierSpec,
-                cfg: SeriesConfig = SeriesConfig(),
-                bumps: FdBumps = FdBumps()) -> GreekSet:
-    """Finite-difference Greeks of the double knock-out."""
-    spec.validate_against(env)
-    safe = _shrink_spot_bump(env, bumps, spec.lower, spec.upper)
-    return fd_greeks(lambda e: koko_price(e, spec, cfg), env, safe)
-
-
-def kiki_greeks(env: MarketEnvironment, spec: DoubleBarrierSpec,
-                cfg: SeriesConfig = SeriesConfig(),
-                bumps: FdBumps = FdBumps()) -> GreekSet:
-    """Double knock-in Greeks from parity with the vanilla closed form."""
-    if spec.knock != KnockType.IN:
-        raise PreconditionError("kiki_greeks expects a knock-in corridor spec")
-    out_spec = replace(spec, knock=KnockType.OUT)
-    return gk_greeks(env, spec.direction, spec.strike) - koko_greeks(env, out_spec, cfg, bumps)
-
-
-def kiko_greeks(env: MarketEnvironment, spec: KikoSpec,
-                cfg: SeriesConfig = SeriesConfig(),
-                bumps: FdBumps = FdBumps()) -> GreekSet:
-    """Finite-difference Greeks of the replicated in/out pair."""
-    spec.validate_against(env)
-    safe = _shrink_spot_bump(env, bumps, spec.barrier_in, spec.barrier_out)
-    return fd_greeks(lambda e: kiko_price(e, spec, cfg), env, safe)

@@ -2,8 +2,8 @@
 
 Turns any ``MarketEnvironment -> price`` function into a GreekSet; this
 is the universal numerical oracle the analytic formulas are checked
-against, and the production route for contracts without closed-form
-Greeks.
+against, and the engine of ``fxx.router``'s route for contracts without
+closed-form Greeks, which picks bumps clear of the contract's barriers.
 """
 
 from dataclasses import dataclass, replace

@@ -16,14 +16,13 @@ the market environment.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from .contracts import GreekSet, MarketEnvironment, OptionDirection
 from .double_barrier import SeriesConfig
 from .errors import DomainError, IllConditionedError
 from .num_core import inv_std_normal_cdf
 from .router import greeks_contract
-from .vanilla import gk_greeks, gk_price
+from .vanilla import _out_of_range, gk_greeks, gk_price
 
 _MAX_CONDITION = 1e12
 _PIVOT_DELTA = 0.25
@@ -118,9 +117,20 @@ class VVResult:
         return (self.x1, self.x2, self.x3)
 
 
+def _pivot_strike(spot: float, log_moneyness: float) -> float:
+    """spot * exp(log_moneyness), an arithmetic failure outside (0, inf)."""
+    try:
+        strike = spot * math.exp(log_moneyness)
+    except OverflowError:
+        strike = math.inf
+    if not 0.0 < strike < math.inf:
+        raise _out_of_range(f"pivot strike {spot!r} * exp({log_moneyness!r})")
+    return strike
+
+
 def atm_strike(env: MarketEnvironment) -> float:
     """Delta-neutral straddle strike: call and put deltas cancel there."""
-    return env.spot * math.exp((env.drift + 0.5 * env.sigma * env.sigma) * env.T)
+    return _pivot_strike(env.spot, (env.drift + 0.5 * env.sigma * env.sigma) * env.T)
 
 
 def solve_delta_strike(env: MarketEnvironment, target_delta: float,
@@ -130,13 +140,16 @@ def solve_delta_strike(env: MarketEnvironment, target_delta: float,
     if target_delta * phi <= 0.0:
         raise DomainError(
             f"target delta {target_delta!r} has the wrong sign for {direction.name}")
-    scaled = phi * target_delta * math.exp(env.r_f * env.T)
+    try:
+        scaled = phi * target_delta * math.exp(env.r_f * env.T)
+    except OverflowError:
+        raise _out_of_range(f"exp(r_f T) = exp({env.r_f * env.T!r})") from None
     if scaled >= 1.0:
         raise DomainError(
             f"|delta * exp(r_f T)| = {scaled!r} >= 1 has no strike solution")
     d1 = inv_std_normal_cdf(scaled) * phi
     s = env.sigma * math.sqrt(env.T)
-    return env.spot * math.exp((env.drift + 0.5 * env.sigma * env.sigma) * env.T - d1 * s)
+    return _pivot_strike(env.spot, (env.drift + 0.5 * env.sigma * env.sigma) * env.T - d1 * s)
 
 
 def build_pivots(env: MarketEnvironment, quotes: PivotQuotes) -> PivotSet:
@@ -239,7 +252,7 @@ def vv_adjustment(weights: tuple, system: PivotSystem) -> tuple:
 
 
 def vv_price(env: MarketEnvironment, spec, quotes: PivotQuotes,
-             series_cfg: Optional[SeriesConfig] = None) -> VVResult:
+             series_cfg: SeriesConfig = SeriesConfig()) -> VVResult:
     """Market-adjusted price of any contract this library prices.
 
     The flat price and its Greeks are evaluated at ``quotes.sigma_atm``

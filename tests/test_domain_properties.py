@@ -4,8 +4,8 @@ parity holds for single barriers and corridors at any strike, barrier
 prices lie between 0 and the vanilla, a corridor knock-out is worth no more
 than either single knock-out, a KIKO rule id depends on the barriers
 alone, the value-only prices equal the Greek path's values bit for bit,
-and far outside desk ranges a vanilla or single-barrier price or Greek set
-is finite or a typed PricingError."""
+and far outside desk ranges a vanilla or single-barrier price, Greek set
+or Vanna-Volga price is finite or a typed PricingError."""
 
 import math
 import warnings
@@ -16,10 +16,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fxx import (BarrierSide, DoubleBarrierSpec, KikoSpec, KnockType,
-                 MarketEnvironment, McConfig, OptionDirection, PricingError,
+                 MarketEnvironment, McConfig, OptionDirection, PivotQuotes, PricingError,
                  SingleBarrierSpec, TruncationWarning, VanillaSpec, abcd, gk_greeks,
                  gk_price, greeks_abcd, greeks_contract, greeks_single_barrier,
-                 kiki_price, koko_price, mc_price, price_contract, price_single_barrier)
+                 kiki_price, koko_price, mc_price, price_contract, price_single_barrier,
+                 vv_price)
 from fxx.double_barrier import classify_kiko
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -198,5 +199,10 @@ def test_every_failure_is_a_typed_pricing_error(case):
     try:
         greeks, _method, _notices = greeks_contract(env, spec, method="analytic")
         assert all(map(math.isfinite, greeks.as_tuple()))
+    except PricingError:
+        pass
+    try:
+        result = vv_price(env, spec, PivotQuotes(sigma_atm=env.sigma))
+        assert math.isfinite(result.vv_price)
     except PricingError:
         pass

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from scipy.special import log_ndtr, logsumexp
 
 import fxx.double_barrier as double_barrier
-from fxx import (BarrierSide, DoubleBarrierSpec, KikoSpec, KnockType,
+from fxx import (BarrierSide, DoubleBarrierSpec, FdBumps, KikoSpec, KnockType,
                  ClassificationError, MarketEnvironment, McConfig, OptionDirection,
                  PreconditionError, SeriesConfig, TruncationWarning, gk_greeks,
-                 gk_price, kiki_greeks, kiki_price, kiko_greeks, kiko_price,
-                 koko_greeks, koko_price, mc_price, mc_price_batch,
-                 price_single_barrier, SingleBarrierSpec)
+                 gk_price, greeks_contract, greeks_single_barrier, kiki_greeks,
+                 kiki_price, kiko_greeks, kiko_price, koko_greeks, koko_price,
+                 mc_price, mc_price_batch, price_single_barrier, SingleBarrierSpec)
 from fxx.double_barrier import classify_kiko
 from test_domain_properties import _log_uniform
 
@@ -389,10 +389,28 @@ class TestCorridorGreeks:
         assert koko_greeks(ENV, spec).vega < gk_greeks(ENV, CALL, 100.0).vega
 
     def test_bump_shrinks_near_barrier(self):
-        env = replace(ENV, spot=85.2)  # 0.24% above the lower barrier
-        spec = DoubleBarrierSpec(CALL, 100.0, 85.0, 115.0, OUT)
-        greeks = koko_greeks(env, spec)
-        assert math.isfinite(greeks.delta)
+        from support import fd_noise_floors, greek_tolerance
+
+        # at spot 100 a full bump, 0.01, puts a stencil point on 99.99
+        # after rounding; from 99.995 it puts one past the barrier
+        cases = [
+            (85.2, DoubleBarrierSpec(CALL, 100.0, 85.0, 115.0, OUT)),
+            (100.0, DoubleBarrierSpec(CALL, 100.0, 99.99, 115.0, OUT)),
+            (100.0, KikoSpec(CALL, 100.0, 140.0, UP, 99.99, LOW)),
+            (100.0, SingleBarrierSpec(CALL, 100.0, 99.99, LOW, OUT)),
+            (100.0, SingleBarrierSpec(CALL, 100.0, 99.995, LOW, OUT)),
+        ]
+        for spot, spec in cases:
+            env = replace(ENV, spot=spot)
+            greeks, method, _notices = greeks_contract(env, spec, method="fd")
+            assert method == "fd" and all(map(math.isfinite, greeks.as_tuple())), spec
+            if isinstance(spec, SingleBarrierSpec):
+                analytic = greeks_single_barrier(env, spec)
+                bumps = FdBumps(dS_rel=0.5 * (spot - spec.barrier) / spot)
+                floors = fd_noise_floors(greeks.value, env, bumps)
+                for comp in ("delta", "vega", "vanna", "volga"):
+                    a, f = getattr(analytic, comp), getattr(greeks, comp)
+                    assert abs(a - f) <= greek_tolerance(a, f, floors[comp]), (spec, comp)
 
     def test_spot_on_top_of_barrier_rejected(self):
         env = replace(ENV, spot=85.0 * (1.0 + 1e-14))
