@@ -142,8 +142,8 @@ def solve_delta_strike(env: MarketEnvironment, target_delta: float,
             f"target delta {target_delta!r} has the wrong sign for {direction.name}")
     try:
         scaled = phi * target_delta * math.exp(env.r_f * env.T)
-    except OverflowError:
-        raise _out_of_range(f"exp(r_f T) = exp({env.r_f * env.T!r})") from None
+    except OverflowError:   # exp(r_f T) past the double range: no strike either
+        scaled = math.inf
     if scaled >= 1.0:
         raise DomainError(
             f"|delta * exp(r_f T)| = {scaled!r} >= 1 has no strike solution")

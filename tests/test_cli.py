@@ -273,21 +273,24 @@ class TestVvPrice:
             record["bs_price"] + record["adjustment"], abs=1e-14)
         assert record["condition"] > 0.0
 
-    @pytest.mark.parametrize("market,contract,atm", [
+    @pytest.mark.parametrize("market,contract,atm,code,error", [
         # (drift + atm_vol^2 / 2) T: the straddle strike overflows
         ({"spot": 3.9645892117932727e43, "domestic_rate": 2.338582397986274,
           "foreign_rate": -0.7040744490773414, "volatility": 0.611868091539701,
           "maturity": 270.7274424721753},
          {"type": "single_barrier", "direction": "put", "strike": 1.083885511850942e44,
-          "barrier": 7.08284624847779e40, "side": "lower", "knock": "in"}, 1.2237),
-        # exp(r_f T) in the 25-delta strike solve overflows
-        (dict(MARKET, domestic_rate=3.0, foreign_rate=3.0, maturity=300.0), VANILLA, 0.2),
+          "barrier": 7.08284624847779e40, "side": "lower", "knock": "in"}, 1.2237,
+         4, "numerical"),
+        # exp(r_f T) overflows: |delta| exp(r_f T) >= 1, so no 25-delta strike exists
+        (dict(MARKET, domestic_rate=3.0, foreign_rate=3.0, maturity=300.0), VANILLA, 0.2,
+         3, "precondition"),
     ], ids=["atm_strike", "delta_strike"])
-    def test_pivot_strike_overflow_exits_4(self, tmp_path, capsys, market, contract, atm):
-        code, out, err = run(capsys, "vv-price", write_request(tmp_path, contract, market),
-                             write_quotes(tmp_path, atm=atm))
-        assert (code, out) == (4, "")
-        assert json.loads(err)["error"] == "numerical"
+    def test_pivot_strike_overflow_is_typed(self, tmp_path, capsys, market, contract, atm,
+                                           code, error):
+        got, out, err = run(capsys, "vv-price", write_request(tmp_path, contract, market),
+                            write_quotes(tmp_path, atm=atm))
+        assert (got, out) == (code, "")
+        assert json.loads(err)["error"] == error
 
 
 class TestMcCheck:
