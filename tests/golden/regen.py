@@ -2,11 +2,12 @@
 a fixed set of seeded draws, kept in ``library.json`` next to this file.
 
 For every draw the file holds ``price_contract``, ``greeks_contract``
-(analytic and fd) and ``vv_price``, each as its numbers and strings, or as
-the type and message of the ``PricingError`` it raised, plus the messages
-of any ``TruncationWarning``. The draws cover vanilla calls and puts, the
-16 single-barrier table rows, corridor knock-outs and knock-ins over
-tau = ln(U/L)^2 / (sigma^2 T) from pi/2 to 1e3, and the 12 KIKO layouts.
+(analytic and fd) and ``vv_price`` at two smiles, each as its numbers and
+strings, or as the type and message of the ``PricingError`` it raised,
+plus the messages of any ``TruncationWarning``. The draws cover vanilla
+calls and puts, the 16 single-barrier table rows, corridor knock-outs and
+knock-ins over tau = ln(U/L)^2 / (sigma^2 T) from pi/2 to 1e3, and the 12
+KIKO layouts.
 
 A change that moves a number regenerates the file in the same commit, so
 the diff declares the move:
@@ -136,7 +137,13 @@ def _outcome(fn):
                      if issubclass(w.category, TruncationWarning)]]
 
 
+# The benchmark book's smile: its ATM vol overrides the draw's volatility.
+BOOK_SMILE = PivotQuotes(sigma_atm=0.10, sigma_rr25=-0.015, sigma_bf25=0.002)
+
+
 def record(env, spec) -> dict:
+    """The outcomes of one draw; ``vv`` quotes a smile at the draw's own
+    volatility, ``vv_book`` the book's smile at another one."""
     quotes = PivotQuotes(sigma_atm=env.sigma, sigma_rr25=-0.1 * env.sigma,
                          sigma_bf25=0.02 * env.sigma)
 
@@ -144,14 +151,15 @@ def record(env, spec) -> dict:
         greek_set, used, notices = greeks_contract(env, spec, method=method)
         return [*greek_set.as_tuple(), used, notices]
 
-    def vv():
+    def vv(quotes):
         r = vv_price(env, spec, quotes)
         return [r.bs_price, r.x1, r.x2, r.x3, r.adjustment, r.vv_price, r.condition]
 
     return {"price": _outcome(lambda: list(price_contract(env, spec))),
             "analytic": _outcome(lambda: greeks("analytic")),
             "fd": _outcome(lambda: greeks("fd")),
-            "vv": _outcome(vv)}
+            "vv": _outcome(lambda: vv(quotes)),
+            "vv_book": _outcome(lambda: vv(BOOK_SMILE))}
 
 
 def cases_digest(cases) -> str:
