@@ -4,9 +4,12 @@ Turns any ``MarketEnvironment -> price`` function into a GreekSet; this
 is the universal numerical oracle the analytic formulas are checked
 against, and the engine of ``fxx.router``'s route for contracts without
 closed-form Greeks, which picks bumps clear of the contract's barriers.
+Each of the nine stencil points is a new ``MarketEnvironment`` built from
+the bumped spot and volatility and the unbumped rates and maturity; its
+validation counts as a failure at that point.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .contracts import GreekSet, MarketEnvironment
@@ -31,7 +34,7 @@ class StencilEvaluationError(PricingError):
 
 def _eval(pricer: Pricer, env: MarketEnvironment, spot: float, sigma: float) -> float:
     try:
-        return pricer(replace(env, spot=spot, sigma=sigma))
+        return pricer(MarketEnvironment(spot, env.r_d, env.r_f, sigma, env.T))
     except NumericalError:
         raise  # the arithmetic failed, not the stencil: keep the type (exit 4)
     except Exception as exc:

@@ -127,15 +127,15 @@ def _stencil_bumps(env: MarketEnvironment, barriers: tuple) -> FdBumps:
     """Default bumps, the volatility bump below sigma / 2. When the spot
     stencil point S - side * h would reach one of the (level, side)
     ``barriers`` (side is +1 below spot), h is half the room to the nearest."""
-    bumps = FdBumps()
-    S, h = env.spot, bumps.dS_rel * env.spot  # h as fd_greeks computes it
+    S, dS_rel = env.spot, FdBumps.dS_rel
+    h = dS_rel * S  # h as fd_greeks computes it
     if any((S - side * h - level) * side <= 0.0 for level, side in barriers):
         room = min(abs(S - level) for level, _side in barriers)
         if 0.5 * room <= _MIN_REL_BUMP * S:
             raise PreconditionError(f"spot {S} is too close to a barrier to difference "
                                     f"across (room {room!r}); Greeks unavailable here")
-        bumps = FdBumps(dS_rel=0.5 * room / S)
-    return replace(bumps, dSigma_abs=min(bumps.dSigma_abs, 0.5 * env.sigma))
+        dS_rel = 0.5 * room / S
+    return FdBumps(dS_rel, min(FdBumps.dSigma_abs, 0.5 * env.sigma))
 
 
 def koko_greeks(env: MarketEnvironment, spec: DoubleBarrierSpec,

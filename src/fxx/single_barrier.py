@@ -21,7 +21,7 @@ from .errors import DomainError, NumericalError
 from .num_core import log_ratio
 from .num_core import std_normal_cdf as _N
 from .num_core import std_normal_pdf as _n
-from .vanilla import _check_env, _direct_greeks, _discounts, _greek_set, _value
+from .vanilla import _check_scale, _direct_greeks, _discounts, _greek_set, _value
 
 _NEGATIVE_CLAMP = 1e-10
 
@@ -40,7 +40,7 @@ class AbcdValues:
 def _setup(env: MarketEnvironment, strike: float, barrier: float) -> tuple:
     """(s, F, D, g, lam = ln(B/S), Lf, Ld, d1-terms of A, B, C, D)."""
     S, sig = env.spot, env.sigma
-    s = _check_env(env)
+    s = _check_scale(sig, env.T)
     F, D = _discounts(env)
     g = 2.0 * env.drift / (sig * sig)
     lam = log_ratio(barrier, S)
@@ -99,8 +99,8 @@ def _greeks(env: MarketEnvironment, phi: int, eta: int, strike: float,
             barrier: float) -> tuple:
     """(value, delta, vega, vanna, volga) tuples of (A, B, C, D)."""
     s, F, D, g, lam, Lf, Ld, xa, xb, xc, xd = _setup(env, strike, barrier)
-    return (_direct_greeks(env, phi, strike, s, F, D, xa),
-            _direct_greeks(env, phi, strike, s, F, D, xb),
+    return (_direct_greeks(env.spot, env.sigma, phi, strike, s, F, D, xa),
+            _direct_greeks(env.spot, env.sigma, phi, strike, s, F, D, xb),
             _reflected_greeks(env, phi, eta, s, g, lam, Lf, Ld, xc),
             _reflected_greeks(env, phi, eta, s, g, lam, Lf, Ld, xd))
 

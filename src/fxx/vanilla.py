@@ -4,9 +4,13 @@ Every kernel value, vanilla or barrier, is ``_value``:
 phi*(P N(w x) - Q N(w (x - s))). The direct kernel is the vanilla formula,
 P = S F, Q = K D, w = phi, with x the d1-term of S against the strike (a
 vanilla, barrier parameter A) or the barrier (parameter B);
-``_direct_greeks`` adds its closed-form Greeks as a plain tuple. A result
-that leaves the double range raises NumericalError: the inputs were valid,
-the arithmetic was not.
+``_direct_greeks`` adds its closed-form Greeks as a plain tuple. The
+vanilla kernel, ``_gk`` for the price and ``_gk_greeks`` for the Greek
+tuple, takes the volatility and the discount factors (F, D) explicitly:
+``gk_price`` and ``gk_greeks`` pass the environment's, and the Vanna-Volga
+pivot system prices its pivots at their own volatilities with one
+discount pair. A result that leaves the double range raises
+NumericalError: the inputs were valid, the arithmetic was not.
 """
 
 import math
@@ -22,8 +26,9 @@ _DETERMINISTIC_LIMIT = 1e-12
 _MIN_SIG_SQRT_T = 1e-10
 
 
-def _check_env(env: MarketEnvironment) -> float:
-    s = env.sigma * math.sqrt(env.T)
+def _check_scale(sigma: float, T: float) -> float:
+    """The diffusion scale sigma sqrt(T) the Greek kernels divide by."""
+    s = sigma * math.sqrt(T)
     if s < _MIN_SIG_SQRT_T:
         raise DomainError(
             f"sigma*sqrt(T)={s!r} below {_MIN_SIG_SQRT_T}; barrier kernels need "
@@ -45,16 +50,26 @@ def _discounts(env: MarketEnvironment) -> tuple:
         raise _out_of_range(f"discount factor exp({worst!r})") from None
 
 
-def _greek_set(greeks: tuple) -> GreekSet:
-    """GreekSet of kernel results; a non-finite one is an arithmetic failure."""
+def _finite(greeks: tuple) -> tuple:
+    """``greeks`` itself; a non-finite kernel result is an arithmetic failure."""
     if not all(map(math.isfinite, greeks)):
         raise _out_of_range(f"kernel result {greeks!r}")
-    return GreekSet(*greeks)
+    return greeks
+
+
+def _greek_set(greeks: tuple) -> GreekSet:
+    """GreekSet of kernel results; a non-finite one is an arithmetic failure."""
+    return GreekSet(*_finite(greeks))
+
+
+def _d1(env: MarketEnvironment, strike: float, sigma: float, s: float) -> float:
+    """d1 of spot against ``strike`` at volatility ``sigma``, s = sigma sqrt(T)."""
+    return (log_ratio(env.spot, strike) + (env.drift + 0.5 * sigma * sigma) * env.T) / s
 
 
 def d1_d2(env: MarketEnvironment, strike: float) -> tuple:
     s = env.sigma * math.sqrt(env.T)
-    d1 = (log_ratio(env.spot, strike) + (env.drift + 0.5 * env.sigma * env.sigma) * env.T) / s
+    d1 = _d1(env, strike, env.sigma, s)
     return d1, d1 - s
 
 
@@ -71,11 +86,11 @@ def _value(phi: int, P: float, Q: float, w: int, x: float, s: float) -> float:
     return value
 
 
-def _direct_greeks(env: MarketEnvironment, phi: int, strike: float, s: float,
+def _direct_greeks(S: float, sig: float, phi: int, strike: float, s: float,
                    F: float, D: float, u: float) -> tuple:
-    """(value, delta, vega, vanna, volga) of the direct kernel with d1-term
-    ``u``; the cash leg always uses the strike."""
-    S, sig = env.spot, env.sigma
+    """(value, delta, vega, vanna, volga) of the direct kernel at spot ``S``
+    and volatility ``sig`` with d1-term ``u``; the cash leg always uses the
+    strike."""
     value = _value(phi, S * F, strike * D, phi, u, s)
     e = u - s
     nu, ne = _n(u), _n(e)
@@ -89,25 +104,38 @@ def _direct_greeks(env: MarketEnvironment, phi: int, strike: float, s: float,
     return value, delta, vega, vanna, volga
 
 
-def gk_price(env: MarketEnvironment, direction: OptionDirection, strike: float) -> float:
-    """Vanilla FX option price under flat rates and volatility."""
-    _check_strike(strike)
-    phi = int(direction)
-    F, D = _discounts(env)
-    s = env.sigma * math.sqrt(env.T)
+def _gk(env: MarketEnvironment, phi: int, strike: float, sigma: float,
+        F: float, D: float) -> float:
+    """Vanilla price at volatility ``sigma`` and discount factors (F, D) of
+    a checked strike; below the deterministic limit, the forward value."""
+    s = sigma * math.sqrt(env.T)
     if s < _DETERMINISTIC_LIMIT:
         price = max(phi * (env.spot * F - strike * D), 0.0)
         if not math.isfinite(price):
             raise _out_of_range(f"forward value {price!r}")
         return price
-    return _value(phi, env.spot * F, strike * D, phi, d1_d2(env, strike)[0], s)
+    return _value(phi, env.spot * F, strike * D, phi, _d1(env, strike, sigma, s), s)
+
+
+def _gk_greeks(env: MarketEnvironment, phi: int, strike: float, sigma: float, s: float,
+               F: float, D: float) -> tuple:
+    """Finite (value, delta, vega, vanna, volga) of ``_gk`` in closed form, at
+    a checked strike and diffusion scale s = sigma sqrt(T)."""
+    return _finite(_direct_greeks(env.spot, sigma, phi, strike, s, F, D,
+                                  _d1(env, strike, sigma, s)))
+
+
+def gk_price(env: MarketEnvironment, direction: OptionDirection, strike: float) -> float:
+    """Vanilla FX option price under flat rates and volatility."""
+    _check_strike(strike)
+    phi = int(direction)
+    return _gk(env, phi, strike, env.sigma, *_discounts(env))
 
 
 def gk_greeks(env: MarketEnvironment, direction: OptionDirection, strike: float) -> GreekSet:
     """Vanilla value plus delta/vega/vanna/volga in closed form: the direct
     kernel with the strike as log reference, so ``.value`` is ``gk_price``."""
     _check_strike(strike)
-    s = _check_env(env)
+    s = _check_scale(env.sigma, env.T)
     F, D = _discounts(env)
-    return _greek_set(_direct_greeks(env, int(direction), strike, s, F, D,
-                                     d1_d2(env, strike)[0]))
+    return GreekSet(*_gk_greeks(env, int(direction), strike, env.sigma, s, F, D))

@@ -7,11 +7,15 @@ and volga with a portfolio of the pivot options, and the adjustment is
 the portfolio-weighted market-versus-flat cost, which collapses to the
 risk-reversal and butterfly legs because the straddle leg carries no
 market-versus-flat gap. The 3x3 algebra is plain Python: one adjugate
-inverse gives the condition estimate, the solve and its refinement step.
+inverse, kept on the ``PivotSystem``, gives the condition estimate, the
+solve and its refinement step.
 
 All pivot quantities (strikes, Greeks, flat prices) are evaluated at the
 pivot at-the-money volatility, which overrides the volatility carried by
-the market environment.
+the market environment. The pivot system prices its vanillas through the
+vanilla kernel at each pivot's volatility and one discount pair, without
+copying the environment; a pivot quoted at its flat volatility has a gap
+of exactly 0.0 and is not priced twice.
 """
 
 import math
@@ -22,7 +26,7 @@ from .double_barrier import SeriesConfig
 from .errors import DomainError, IllConditionedError
 from .num_core import inv_std_normal_cdf
 from .router import greeks_contract
-from .vanilla import _out_of_range, gk_greeks, gk_price
+from .vanilla import _check_scale, _discounts, _gk, _gk_greeks, _out_of_range
 
 _MAX_CONDITION = 1e12
 _PIVOT_DELTA = 0.25
@@ -94,12 +98,13 @@ class PivotSet:
 class PivotSystem:
     """Pivot Greek matrix as a tuple of rows (vega, vanna, volga) whose
     columns are the put-strike, atm and call-strike pivots, the tuple of
-    market-minus-flat pivot price gaps and the 1-norm condition estimate
-    of the matrix."""
+    market-minus-flat pivot price gaps, the 1-norm condition estimate of
+    the matrix and the matrix's adjugate inverse, as rows."""
 
     matrix: tuple
     gaps: tuple
     condition: float
+    inverse: tuple
 
 
 @dataclass(frozen=True)
@@ -154,7 +159,7 @@ def solve_delta_strike(env: MarketEnvironment, target_delta: float,
 
 def build_pivots(env: MarketEnvironment, quotes: PivotQuotes) -> PivotSet:
     """Solve the three pivot strikes at the pivot ATM volatility."""
-    env_atm = replace(env, sigma=quotes.sigma_atm)
+    env_atm = env if env.sigma == quotes.sigma_atm else replace(env, sigma=quotes.sigma_atm)
     k_atm = atm_strike(env_atm)
     k_call = solve_delta_strike(env_atm, _PIVOT_DELTA, OptionDirection.CALL)
     k_put = solve_delta_strike(env_atm, -_PIVOT_DELTA, OptionDirection.PUT)
@@ -193,32 +198,39 @@ def build_pivot_system(env: MarketEnvironment, pivots: PivotSet) -> PivotSystem:
     The matrix columns use call Greeks at every pivot strike; replacing a
     pivot put with the call at the same strike changes none of the three
     Greeks. The gap entries price each pivot with its own quoted
-    direction, at its market vol minus at the flat vol.
+    direction, at its market vol minus at the flat vol. Every value is
+    ``gk_greeks`` or ``gk_price`` at the pivot's volatility, bit for bit.
     """
     columns = []
     gaps = []
+    discounts = None
     for pivot in pivots:
-        env_flat = replace(env, sigma=pivot.bs_vol)
-        greeks = gk_greeks(env_flat, OptionDirection.CALL, pivot.strike)
-        columns.append((greeks.vega, greeks.vanna, greeks.volga))
-        env_mkt = replace(env, sigma=pivot.market_vol)
-        gaps.append(gk_price(env_mkt, pivot.direction, pivot.strike)
-                    - gk_price(env_flat, pivot.direction, pivot.strike))
+        s = _check_scale(pivot.bs_vol, env.T)
+        if discounts is None:  # after the first scale check, as gk_greeks orders them
+            discounts = _discounts(env)
+        columns.append(_gk_greeks(env, 1, pivot.strike, pivot.bs_vol, s, *discounts)[2:])
+        gap = 0.0  # a price minus itself
+        if pivot.market_vol != pivot.bs_vol:
+            phi = int(pivot.direction)
+            gap = (_gk(env, phi, pivot.strike, pivot.market_vol, *discounts)
+                   - _gk(env, phi, pivot.strike, pivot.bs_vol, *discounts))
+        gaps.append(gap)
     matrix = tuple(zip(*columns))
-    condition = _norm1(matrix) * _norm1(_inverse(matrix))
+    inverse = _inverse(matrix)
+    condition = _norm1(matrix) * _norm1(inverse)
     if not math.isfinite(condition) or condition > _MAX_CONDITION:
         raise IllConditionedError(
             f"pivot system condition estimate {condition:.3e} exceeds "
             f"{_MAX_CONDITION:.0e}; pivots are too close to distinguish")
-    return PivotSystem(matrix=matrix, gaps=tuple(gaps), condition=condition)
+    return PivotSystem(matrix=matrix, gaps=tuple(gaps), condition=condition, inverse=inverse)
 
 
 def vv_weights(target: GreekSet, system: PivotSystem) -> tuple:
     """Hedge weights on the pivot columns matching the target's vega,
-    vanna and volga: the adjugate inverse of the matrix applied to the
-    target, plus one step of iterative refinement with the same inverse."""
+    vanna and volga: the system's adjugate inverse applied to the target,
+    plus one step of iterative refinement with the same inverse."""
     rhs = (target.vega, target.vanna, target.volga)
-    inv = _inverse(system.matrix)
+    inv = system.inverse
 
     def residual(x):
         return tuple(t - v for t, v in zip(rhs, _apply(system.matrix, x)))
@@ -265,7 +277,7 @@ def vv_price(env: MarketEnvironment, spec, quotes: PivotQuotes,
     target, _method, _notes = greeks_contract(env_atm, spec, method="analytic",
                                               series_cfg=series_cfg)
     bs_price = target.value
-    pivots = build_pivots(env, quotes)
+    pivots = build_pivots(env_atm, quotes)
     system = build_pivot_system(env_atm, pivots)
     weights = vv_weights(target, system)
     x_atm, x_rr, x_bf, adjustment = vv_adjustment(weights, system)

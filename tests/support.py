@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from fxx import (BarrierSide, FdBumps, KnockType, MarketEnvironment,
-                 OptionDirection, SingleBarrierSpec, fd_greeks)
+from fxx import (BarrierSide, FdBumps, IllConditionedError, KnockType, MarketEnvironment,
+                 OptionDirection, SingleBarrierSpec, fd_greeks, gk_greeks, gk_price)
 from fxx.single_barrier import abcd, greeks_abcd
+from fxx.vanna_volga import _MAX_CONDITION, _inverse, _norm1
 
 EPS = 2.220446049250313e-16
 
@@ -144,6 +145,28 @@ def compare_parameter_greeks(env, direction, side, strike, barrier):
         worst = max(worst, abs(analytic.volga - volga_chain)
                     / greek_tolerance(analytic.volga, volga_chain, 8 * EPS * vega_scale / k))
     return worst
+
+
+def reference_pivot_system(env: MarketEnvironment, pivots) -> tuple:
+    """(matrix, gaps, condition) of ``build_pivot_system`` built from the
+    public vanilla functions: one environment copy per pivot volatility,
+    ``gk_greeks`` for each column and ``gk_price`` at the market vol minus
+    ``gk_price`` at the flat vol for every gap, the ATM leg's included."""
+    columns, gaps = [], []
+    for pivot in pivots:
+        env_flat = replace(env, sigma=pivot.bs_vol)
+        greeks = gk_greeks(env_flat, OptionDirection.CALL, pivot.strike)
+        columns.append((greeks.vega, greeks.vanna, greeks.volga))
+        env_mkt = replace(env, sigma=pivot.market_vol)
+        gaps.append(gk_price(env_mkt, pivot.direction, pivot.strike)
+                    - gk_price(env_flat, pivot.direction, pivot.strike))
+    matrix = tuple(zip(*columns))
+    condition = _norm1(matrix) * _norm1(_inverse(matrix))
+    if not math.isfinite(condition) or condition > _MAX_CONDITION:
+        raise IllConditionedError(
+            f"pivot system condition estimate {condition:.3e} exceeds "
+            f"{_MAX_CONDITION:.0e}; pivots are too close to distinguish")
+    return matrix, tuple(gaps), condition
 
 
 def dense_bridge_survival(env: MarketEnvironment, n_steps: int, barrier: float,

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fxx import (DomainError, DoubleBarrierSpec, GreekSet, IllConditionedError, KikoSpec,
@@ -12,8 +12,10 @@ from fxx import (DomainError, DoubleBarrierSpec, GreekSet, IllConditionedError, 
                  atm_strike, build_pivot_system, build_pivots,
                  gk_greeks, gk_price, price_contract, solve_delta_strike, vv_price,
                  vv_weights)
-from fxx.vanna_volga import vv_adjustment
-from test_domain_properties import directions, distances, markets, moneyness
+from fxx.vanna_volga import _inverse, vv_adjustment
+from test_domain_properties import (_log_uniform, corridors, directions, distances,
+                                    extreme_markets, extreme_ratios, markets, moneyness,
+                                    singles)
 
 CALL, PUT = OptionDirection.CALL, OptionDirection.PUT
 ENV = MarketEnvironment(spot=100.0, r_d=0.03, r_f=0.01, sigma=0.2, T=1.0)
@@ -338,3 +340,68 @@ class TestProperties:
                     residual = b - mpmath.fsum(mpmath.mpf(a) * v for a, v in zip(row, x))
                     size = mpmath.fsum(abs(mpmath.mpf(a) * v) for a, v in zip(row, x)) + abs(b)
                     assert abs(residual) <= 2.0 * EPS * size
+
+    @settings(PROPERTY, max_examples=200)
+    @given(st.one_of(singles(), corridors()), smiles)
+    @pytest.mark.filterwarnings("ignore::fxx.errors.TruncationWarning")
+    def test_knock_in_plus_knock_out_is_vanilla(self, case, quotes):
+        # vv_price is linear in the target Greeks, so in/out parity carries
+        # over to the adjustment and the market-adjusted price
+        env, out_spec = case
+        knock_out = vv_price(env, out_spec, quotes)
+        knock_in = vv_price(env, replace(out_spec, knock=KnockType.IN), quotes)
+        vanilla = vv_price(env, VanillaSpec(out_spec.direction, out_spec.strike), quotes)
+        bound = 1e-13 * max(1.0, abs(vanilla.bs_price))
+        assert abs(knock_out.vv_price + knock_in.vv_price - vanilla.vv_price) <= bound
+        assert abs(knock_out.adjustment + knock_in.adjustment - vanilla.adjustment) <= bound
+
+
+def _outcome(fn):
+    """repr of the result, or the type and message of what it raised."""
+    try:
+        return repr(fn())
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+extreme_vols = _log_uniform(1e-6, 10.0)
+
+
+@st.composite
+def pivot_cases(draw):
+    """(env, PivotSet): the pivots ``build_pivots`` solves on desk markets,
+    or pivots at strikes within a factor 1e3 of spot on the extreme markets
+    of ``test_every_failure_is_a_typed_pricing_error``. Flat vols differ
+    from the environment's or not; with zero risk reversal and butterfly
+    every market vol is the flat vol and every gap is 0.0."""
+    flat = draw(st.booleans())
+    if draw(st.booleans()):
+        env = draw(markets)
+        sigma_atm = draw(st.one_of(st.just(env.sigma), st.floats(0.05, 0.4)))
+        quotes = (PivotQuotes(sigma_atm) if flat else
+                  draw(st.builds(PivotQuotes, sigma_atm=st.just(sigma_atm),
+                                 sigma_rr25=st.floats(-0.03, 0.03),
+                                 sigma_bf25=st.floats(0.0, 0.01))))
+        return env, build_pivots(env, quotes)
+    env = draw(extreme_markets)
+    strikes = sorted(env.spot * draw(extreme_ratios) for _ in range(3))
+    assume(strikes[0] < strikes[1] < strikes[2])
+    bs_vol = draw(st.one_of(st.just(env.sigma), extreme_vols))
+    legs = [Pivot(strike, bs_vol, bs_vol if flat else draw(extreme_vols), direction)
+            for strike, direction in zip(strikes, (PUT, CALL, CALL))]
+    return env, PivotSet(*legs)
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(pivot_cases())
+def test_pivot_system_is_the_public_vanilla_construction(case):
+    from support import reference_pivot_system
+
+    env, pivots = case
+
+    def built():
+        system = build_pivot_system(env, pivots)
+        assert system.inverse == _inverse(system.matrix)
+        return system.matrix, system.gaps, system.condition
+
+    assert _outcome(built) == _outcome(lambda: reference_pivot_system(env, pivots))
