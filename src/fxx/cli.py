@@ -152,10 +152,9 @@ def _series_config() -> SeriesConfig:
     if raw is None:
         return SeriesConfig()
     try:
-        n_max = int(raw)
+        return SeriesConfig(n_max=int(raw))
     except ValueError:
-        raise RequestError(f"{_ENV_NMAX} must be an integer, got {raw!r}") from None
-    return SeriesConfig(n_max=n_max)
+        raise RequestError(f"{_ENV_NMAX} must be an integer >= 1, got {raw!r}") from None
 
 
 # ------------------------------------------------------------------ commands

@@ -363,7 +363,8 @@ class TestSeriesOverride:
             code, truncated, _ = run(capsys, "price", request)
             assert code == 0
         assert full != truncated
-        monkeypatch.setenv("FXX_SERIES_NMAX", "not-a-number")
-        code, _, err = run(capsys, "price", request)
-        assert code == 2
-        assert "FXX_SERIES_NMAX" in err
+        for bad in ("not-a-number", "0", "-3"):
+            monkeypatch.setenv("FXX_SERIES_NMAX", bad)
+            code, _, err = run(capsys, "price", request)
+            assert code == 2
+            assert "FXX_SERIES_NMAX" in err
