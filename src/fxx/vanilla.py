@@ -128,8 +128,7 @@ def _gk_greeks(env: MarketEnvironment, phi: int, strike: float, sigma: float, s:
 def gk_price(env: MarketEnvironment, direction: OptionDirection, strike: float) -> float:
     """Vanilla FX option price under flat rates and volatility."""
     _check_strike(strike)
-    phi = int(direction)
-    return _gk(env, phi, strike, env.sigma, *_discounts(env))
+    return _gk(env, int(direction), strike, env.sigma, *_discounts(env))
 
 
 def gk_greeks(env: MarketEnvironment, direction: OptionDirection, strike: float) -> GreekSet:
