@@ -5,8 +5,9 @@ The knock-out call/put series (Ikeda & Kunitomo, 1992) sums
 reflected-image terms indexed by ``n``. Each call sums n = -m..m for the
 smallest m whose closed-form bound on the omitted terms lies below the
 tail tolerance, capped at ``SeriesConfig.n_max``; at the cap a tail check
-warns when the first omitted terms are not negligible. Greeks of these
-contracts come from the finite-difference route in ``fxx.router``.
+warns when the first omitted terms are not negligible. The terms, the
+bound and the check all read one set of parameters affine in n. Greeks of
+these contracts come from the finite-difference route in ``fxx.router``.
 """
 
 import math
@@ -19,30 +20,27 @@ from .errors import (ClassificationError, NumericalError, PreconditionError,
                      TruncationWarning)
 from .num_core import log_ratio
 from .num_core import std_normal_cdf as _N
-from .single_barrier import _NEGATIVE_CLAMP, price_single_barrier
+from .single_barrier import _LOG_OVERFLOW, _NEGATIVE_CLAMP, price_single_barrier
 from .vanilla import _discounts, gk_price
 
-# leaves room for the spot/strike prefactors before the double range ends
-_LOG_OVERFLOW = 690.0
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# bound, in price units, on what the omitted series terms may add
+_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Truncation control. A price sums n = -m..m, m being the smallest
-    count up to ``n_max`` whose bound on every omitted term lies below
-    ``tail_tol`` (in price units). When no count up to ``n_max`` passes,
-    the series runs to ``n_max`` and the first omitted terms,
-    |n| = n_max + 1, must stay below ``tail_tol``."""
+    """Truncation cap. A price sums n = -m..m, m being the smallest count
+    up to ``n_max`` whose bound on every omitted term lies below 1e-12 in
+    price units. When no count up to ``n_max`` passes, the series runs to
+    ``n_max`` and warns when the first omitted terms, |n| = n_max + 1,
+    reach that tolerance."""
 
     n_max: int = 5
-    tail_tol: float = 1e-12
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.tail_tol <= 0.0:
-            raise ValueError(f"tail_tol must be positive, got {self.tail_tol}")
 
 
 def _ncdf_diff(hi: float, lo: float) -> float:
@@ -104,11 +102,11 @@ def _tail_bound(pieces: tuple, k: int, limit: float) -> float:
     return total
 
 
-def _series_cut(pieces: tuple, cfg: SeriesConfig):
-    """Smallest m in 1..cfg.n_max whose bound on the terms |n| > m lies
-    below ``cfg.tail_tol``; None when there is none."""
-    for m in range(1, cfg.n_max + 1):
-        if _tail_bound(pieces, m + 1, cfg.tail_tol) < cfg.tail_tol:
+def _series_cut(pieces: tuple, n_max: int):
+    """Smallest m in 1..n_max whose bound on the terms |n| > m lies below
+    ``_TAIL_TOL``; None when there is none."""
+    for m in range(1, n_max + 1):
+        if _tail_bound(pieces, m + 1, _TAIL_TOL) < _TAIL_TOL:
             return m
     return None
 
@@ -123,8 +121,8 @@ def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
     with K <= L is worth exactly 0.0. The series sums n = -m..m in
     ascending order, m being the smallest count up to ``cfg.n_max`` whose
     closed-form bound on all omitted terms (``_tail_bound``) lies below
-    ``cfg.tail_tol``. When none does, it sums to ``cfg.n_max`` and warns
-    (TruncationWarning) if the first omitted terms reach ``cfg.tail_tol``.
+    ``_TAIL_TOL``. When none does, it sums to ``cfg.n_max`` and warns
+    (TruncationWarning) if the first omitted terms reach ``_TAIL_TOL``.
     The result is clamped to [0, vanilla].
     """
     if spec.knock != KnockType.OUT:
@@ -142,74 +140,64 @@ def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
     alpha = 2.0 * b / (sig * sig) + 1.0
     nu_T = (b + 0.5 * sig * sig) * T
     ln_UL = log_ratio(U, L)
-    ln_L, ln_U, ln_S = math.log(L), math.log(U), math.log(S)
-    # log arguments of d1..d4 at n = 0; the image shift adds to them
+    ln_L, ln_S = math.log(L), math.log(S)
+    # log arguments of d1..d4 at n = 0
     if phi > 0:
         x1, x2 = log_ratio(S, Kc), log_ratio(S, U)
         x3, x4 = log_ratio(L * L, Kc * S), log_ratio(L * L, S * U)
     else:
         x1, x2 = log_ratio(S, L), log_ratio(S, Kc)
         x3, x4 = log_ratio(L, S), log_ratio(L * L, Kc * S)
-
-    def series(indices, edge: int) -> tuple:
-        """Sums of the asset and cash terms over ``indices``, and the size
-        in price units of the terms with |n| = ``edge``."""
-        sum_asset = sum_cash = tail = 0.0
-        for n in indices:
-            shift = 2.0 * n * ln_UL
-            lp_img = alpha * n * ln_UL                       # (U^n/L^n)^alpha
-            lp_ref = alpha * ((n + 1) * ln_L - n * ln_U - ln_S)   # (L^{n+1}/(U^n S))^alpha
-            lp_img_c = (alpha - 2.0) * n * ln_UL
-            lp_ref_c = (alpha - 2.0) * ((n + 1) * ln_L - n * ln_U - ln_S)
-            d1 = (x1 + shift + nu_T) / s
-            d2 = (x2 + shift + nu_T) / s
-            d3 = (x3 - shift + nu_T) / s
-            d4 = (x4 - shift + nu_T) / s
-            term_asset = (_pow_times(lp_img, _ncdf_diff(d1, d2))
-                          - _pow_times(lp_ref, _ncdf_diff(d3, d4)))
-            term_cash = (_pow_times(lp_img_c, _ncdf_diff(d1 - s, d2 - s))
-                         - _pow_times(lp_ref_c, _ncdf_diff(d3 - s, d4 - s)))
-            sum_asset += term_asset
-            sum_cash += term_cash
-            if abs(n) == edge:
-                tail += abs(term_asset) * S + abs(term_cash) * K
-        return sum_asset, sum_cash, tail
-
-    # the eight parts of the terms as functions of k = |n| (see
-    # _tail_bound): image and reflected, asset and cash, for n > 0 then n < 0
+    # Term n is affine in n: the image d-terms are a1 + c n and a2 + c n,
+    # the reflected ones a3 - c n and a4 - c n, the cash legs' the same
+    # less s; the asset legs' log powers are lp_a n (image, (U/L)^(alpha n))
+    # and ref_a - lp_a n (reflected, (L^(n+1) / (U^n S))^alpha), the cash
+    # legs' the same with alpha - 2.
     c = 2.0 * ln_UL / s
     a1, a2 = (x1 + nu_T) / s, (x2 + nu_T) / s
     a3, a4 = (x3 + nu_T) / s, (x4 + nu_T) / s
     b1, b2, b3, b4 = a1 - s, a2 - s, a3 - s, a4 - s
-    img_S, img_K = ln_S - _LOG_SQRT_2PI, math.log(K) - _LOG_SQRT_2PI
-    ref_S, ref_K = img_S + alpha * (ln_L - ln_S), img_K + (alpha - 2.0) * (ln_L - ln_S)
     lp_a, lp_c = alpha * ln_UL, (alpha - 2.0) * ln_UL
+    ref_a, ref_c = alpha * (ln_L - ln_S), (alpha - 2.0) * (ln_L - ln_S)
+
+    def term(n: int) -> tuple:
+        """The asset and cash parts of term n."""
+        cn = c * n
+        return (_pow_times(lp_a * n, _ncdf_diff(a1 + cn, a2 + cn))
+                - _pow_times(ref_a - lp_a * n, _ncdf_diff(a3 - cn, a4 - cn)),
+                _pow_times(lp_c * n, _ncdf_diff(b1 + cn, b2 + cn))
+                - _pow_times(ref_c - lp_c * n, _ncdf_diff(b3 - cn, b4 - cn)))
+
+    # the eight parts of the terms as functions of k = |n| (see
+    # _tail_bound): image and reflected, asset and cash, for n > 0 then n < 0
+    img_S, img_K = ln_S - _LOG_SQRT_2PI, math.log(K) - _LOG_SQRT_2PI
+    ref_S, ref_K = img_S + ref_a, img_K + ref_c
     pieces = ((img_S, lp_a, a1, a2, c), (img_K, lp_c, b1, b2, c),
               (ref_S, -lp_a, a3, a4, -c), (ref_K, -lp_c, b3, b4, -c),
               (img_S, -lp_a, a1, a2, -c), (img_K, -lp_c, b1, b2, -c),
               (ref_S, lp_a, a3, a4, c), (ref_K, lp_c, b3, b4, c))
-    m = _series_cut(pieces, cfg)
-    if m is not None:
-        sum_asset, sum_cash, _ = series(range(-m, m + 1), m)
-        tail = 0.0  # the bound already covers every omitted term
-    else:
-        sum_asset, sum_cash, tail = series(range(-cfg.n_max, cfg.n_max + 1), cfg.n_max)
+    m = _series_cut(pieces, cfg.n_max)
+    top = cfg.n_max if m is None else m
+    sum_asset = sum_cash = 0.0
+    for n in range(-top, top + 1):
+        asset, cash = term(n)
+        sum_asset += asset
+        sum_cash += cash
     F, D = _discounts(env)
-    asset_leg = F * S * sum_asset
-    cash_leg = D * K * sum_cash
-    price = phi * (asset_leg - cash_leg)
-    # The outermost included pair is a cheap first test; the truncation
-    # error itself is what the first omitted pair, +-(n_max + 1), would add.
-    if tail >= cfg.tail_tol:
+    price = phi * (F * S * sum_asset - D * K * sum_cash)
+    if m is None:
+        # no bound passed: the truncation error is what the first omitted
+        # pair, +-(n_max + 1), would add
         edge = cfg.n_max + 1
         try:
-            omitted = series((-edge, edge), edge)[2]
+            omitted = sum(abs(asset) * S + abs(cash) * K
+                          for asset, cash in map(term, (-edge, edge)))
         except NumericalError:  # its image power overflows: far from converged
             omitted = math.inf
-        if omitted >= cfg.tail_tol:
+        if omitted >= _TAIL_TOL:
             warnings.warn(
                 f"first omitted series terms (|n| = {edge}) contribute "
-                f"{omitted:.3e} >= tail_tol={cfg.tail_tol:.1e}; increase n_max "
+                f"{omitted:.3e} >= tail_tol={_TAIL_TOL:.1e}; increase n_max "
                 "for this regime", TruncationWarning, stacklevel=2)
     vanilla = gk_price(env, spec.direction, K)
     return min(max(price, 0.0), vanilla)

@@ -218,12 +218,8 @@ def mc_price_batch(env: MarketEnvironment, specs, cfg: McConfig,
             sums[j, index] = pay.sum()
             sumsqs[j, index] = (pay * pay).sum()
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        for index in range(n_chunks):
-            run_chunk(index)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(run_chunk, range(n_chunks)))
 
     out = []
     n = cfg.n_paths

@@ -24,6 +24,9 @@ from .num_core import std_normal_pdf as _n
 from .vanilla import _check_scale, _direct_greeks, _discounts, _greek_set, _value
 
 _NEGATIVE_CLAMP = 1e-10
+# largest exponent of a barrier power: leaves room for the spot/strike
+# factors before the double range ends
+_LOG_OVERFLOW = 690.0
 
 
 @dataclass(frozen=True)
@@ -46,8 +49,7 @@ def _setup(env: MarketEnvironment, strike: float, barrier: float) -> tuple:
     lam = log_ratio(barrier, S)
     pow_hi = (g + 1.0) * lam
     pow_lo = (g - 1.0) * lam
-    # 690 leaves room for the spot/strike factors before the double range ends
-    if abs(pow_hi) > 690.0 or abs(pow_lo) > 690.0:
+    if abs(pow_hi) > _LOG_OVERFLOW or abs(pow_lo) > _LOG_OVERFLOW:
         raise NumericalError(
             f"barrier reflection power exp({max(abs(pow_hi), abs(pow_lo)):.1f}) "
             f"overflows for barrier/spot={barrier / S!r}, sigma={sig!r}")

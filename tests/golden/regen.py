@@ -13,6 +13,10 @@ A change that moves a number regenerates the file in the same commit, so
 the diff declares the move:
 
     python tests/golden/regen.py
+
+Each rewrite prints what moved against the file it replaces: the moved
+records per contract kind and per output, and the largest price move
+relative to max(1, |price|).
 """
 
 import hashlib
@@ -185,6 +189,37 @@ def write(data: dict, path: Path = GOLDEN) -> None:
                     '"records": {\n' + ",\n".join(lines) + "\n}\n}\n")
 
 
+def moves(old: dict, new: dict) -> list:
+    """Lines saying which records of ``new`` differ from ``old``: counts per
+    contract kind (the id's first word) and per output, and the largest
+    move of a price present on both sides, relative to max(1, |price|)."""
+    if old.get("cases_sha256") != new["cases_sha256"]:
+        return ["the draws changed: every record is new"]
+    by_kind, by_output = {}, {}
+    worst, worst_id = 0.0, None
+    for cid, rec in new["records"].items():
+        was = old["records"][cid]
+        moved = [out for out in rec if rec[out] != was[out]]
+        if moved:
+            kind = cid.split("-")[0]
+            by_kind[kind] = by_kind.get(kind, 0) + 1
+        for out in moved:
+            by_output[out] = by_output.get(out, 0) + 1
+        price, old_price = rec["price"][0], was["price"][0]
+        if isinstance(price, list) and isinstance(old_price, list):  # [price, rule]
+            move = abs(price[0] - old_price[0]) / max(1.0, abs(old_price[0]))
+            if move > worst:
+                worst, worst_id = move, cid
+    total = sum(by_kind.values())
+    return [f"{total} of {len(new['records'])} records moved",
+            f"  by contract kind: {by_kind}", f"  by output: {by_output}",
+            f"  largest price move: {worst:.3g} x max(1, |price|)"
+            + (f" ({worst_id})" if worst_id else "")]
+
+
 if __name__ == "__main__":
-    write(compute())
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    data = compute()
+    write(data)
     print(f"wrote {GOLDEN}")
+    print("\n".join(moves(old, json.loads(json.dumps(data)))))

@@ -4,6 +4,7 @@ import math
 import random
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 
 from fxx import (BarrierSide, FdBumps, IllConditionedError, KnockType, MarketEnvironment,
@@ -145,6 +146,57 @@ def compare_parameter_greeks(env, direction, side, strike, barrier):
         worst = max(worst, abs(analytic.volga - volga_chain)
                     / greek_tolerance(analytic.volga, volga_chain, 8 * EPS * vega_scale / k))
     return worst
+
+
+def corridor_series_oracle(env: MarketEnvironment, spec, m: int, dps: int = 60) -> float:
+    """Knock-out corridor price from the image series of Ikeda & Kunitomo
+    (1992), flat barriers, summed over n = -m..m at ``dps`` digits.
+
+    With b = r_d - r_f, mu = 2b/sigma^2 + 1, s = sigma sqrt(T) and the
+    payoff's range [a, c] inside the corridor ([max(K, L), U] for a call,
+    [L, min(K, U)] for a put), the price is
+    phi (S e^(-r_f T) sum_n A_n - K e^(-r_d T) sum_n C_n), where
+        A_n = (U/L)^(mu n) [N(d(a)) - N(d(c))]
+              - (L^(n+1) / (U^n S))^mu [N(r(a)) - N(r(c))],
+    C_n is A_n with mu - 2 for mu and every N argument less s, and
+        d(x) = (ln(S U^2n / (x L^2n)) + (b + sigma^2/2) T) / s,
+        r(x) = (ln(L^(2n+2) / (x S U^2n)) + (b + sigma^2/2) T) / s.
+    Each N(hi) - N(lo) is taken from the tail farther from the interval,
+    so no digits cancel. The result is not clamped."""
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        S, K, L, U = (mp.mpf(x) for x in (env.spot, spec.strike, spec.lower, spec.upper))
+        sig, T = mp.mpf(env.sigma), mp.mpf(env.T)
+        r_d, r_f = mp.mpf(env.r_d), mp.mpf(env.r_f)
+        drift = r_d - r_f
+        s = sig * mp.sqrt(T)
+        mu = 2 * drift / sig ** 2 + 1
+        nu_T = (drift + sig ** 2 / 2) * T
+        call = spec.direction == OptionDirection.CALL
+        Kc = min(max(K, L), U)
+        a, c = (Kc, U) if call else (L, Kc)
+
+        def ncdf_diff(hi, lo):
+            if hi + lo > 0:
+                return mp.ncdf(-lo) - mp.ncdf(-hi)
+            return mp.ncdf(hi) - mp.ncdf(lo)
+
+        asset = cash = mp.mpf(0)
+        for n in range(-m, m + 1):
+            img, ref = (U / L) ** n, L ** (n + 1) / (U ** n * S)
+
+            def d(x):
+                return (mp.log(S * U ** (2 * n) / (x * L ** (2 * n))) + nu_T) / s
+
+            def r(x):
+                return (mp.log(L ** (2 * n + 2) / (x * S * U ** (2 * n))) + nu_T) / s
+
+            asset += (img ** mu * ncdf_diff(d(a), d(c))
+                      - ref ** mu * ncdf_diff(r(a), r(c)))
+            cash += (img ** (mu - 2) * ncdf_diff(d(a) - s, d(c) - s)
+                     - ref ** (mu - 2) * ncdf_diff(r(a) - s, r(c) - s))
+        price = S * mp.exp(-r_f * T) * asset - K * mp.exp(-r_d * T) * cash
+        return float(price if call else -price)
 
 
 def reference_pivot_system(env: MarketEnvironment, pivots) -> tuple:

@@ -18,6 +18,7 @@ from fxx import (BarrierSide, DoubleBarrierSpec, FdBumps, KikoSpec, KnockType,
                  kiki_price, kiko_greeks, kiko_price, koko_greeks, koko_price,
                  mc_price, mc_price_batch, price_single_barrier, SingleBarrierSpec)
 from fxx.double_barrier import classify_kiko
+from support import corridor_series_oracle
 from test_domain_properties import _log_uniform
 
 CALL, PUT = OptionDirection.CALL, OptionDirection.PUT
@@ -59,15 +60,14 @@ def corridor_density_price(env, strike, lower, upper, phi, n_eigen=600, n_quad=6
 
 class TestSeriesConfig:
     def test_defaults(self):
-        cfg = SeriesConfig()
-        assert cfg.n_max == 5
-        assert cfg.tail_tol == 1e-12
+        assert SeriesConfig().n_max == 5
+        assert double_barrier._TAIL_TOL == 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SeriesConfig(n_max=0)
-        with pytest.raises(ValueError):
-            SeriesConfig(tail_tol=0.0)
+        with pytest.raises(TypeError):  # the tolerance is fixed
+            SeriesConfig(tail_tol=1e-12)
 
 
 class TestKnockOutCorridor:
@@ -117,12 +117,12 @@ class TestKnockOutCorridor:
         env = replace(ENV, sigma=0.5, T=1.0)
         spec = DoubleBarrierSpec(CALL, 100.0, 95.0, 105.0, OUT)
         with pytest.warns(TruncationWarning):
-            koko_price(env, spec, SeriesConfig(n_max=2, tail_tol=1e-12))
+            koko_price(env, spec, SeriesConfig(n_max=2))
 
     def test_no_warning_at_desk_scale(self):
         cases = [(ENV, DoubleBarrierSpec(CALL, 100.0, 85.0, 115.0, OUT)),
                  # the |n| = 5 terms add 3.3e-12, yet n_max 5..50 agree to
-                 # the last bit: the first omitted pair is below tail_tol
+                 # the last bit: the first omitted pair is below 1e-12
                  (MarketEnvironment(112.55018254620006, 0.05591025754787249,
                                     0.020507443773827527, 0.14831049447506595,
                                     0.491856983289345),
@@ -227,32 +227,81 @@ def image_corridors(draw):
                                   lower, lower * math.exp(width), OUT)
 
 
+def _series_inputs(env, spec) -> tuple:
+    """(koko_price, pieces, n_max): the price and what it passed to
+    ``_series_cut``; pieces is None when the payoff lies outside the
+    corridor and no series ran."""
+    with mock.patch.object(double_barrier, "_series_cut",
+                           wraps=double_barrier._series_cut) as cut:
+        price = koko_price(env, spec)
+    if not cut.called:
+        return price, None, None
+    (pieces, n_max), _ = cut.call_args
+    return price, pieces, n_max
+
+
 class TestTermCount:
     """koko_price sums n = -m..m for the smallest m in 1..n_max whose
-    closed-form bound on the omitted terms lies below tail_tol."""
+    closed-form bound on the omitted terms lies below _TAIL_TOL."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(image_corridors())
     def test_bound_covers_the_omitted_terms(self, case):
         env, spec = case
-        with mock.patch.object(double_barrier, "_series_cut",
-                               wraps=double_barrier._series_cut) as cut:
-            price = koko_price(env, spec)
-        assume(cut.called)  # no series for a payoff outside the corridor
-        (pieces, cfg), _ = cut.call_args
-        m = double_barrier._series_cut(pieces, cfg)
-        assert m is not None and 1 <= m <= cfg.n_max
+        price, pieces, n_max = _series_inputs(env, spec)
+        assume(pieces is not None)
+        m = double_barrier._series_cut(pieces, n_max)
+        assert m is not None and 1 <= m <= n_max
         n = np.arange(-60.0, 61.0)
         parts = _log_term_parts(env, spec, n)
-        log_tol = math.log(cfg.tail_tol)
+        tol = double_barrier._TAIL_TOL
+        log_tol = math.log(tol)
         omitted = logsumexp(parts[np.abs(n) > m])
         bound = double_barrier._tail_bound(pieces, m + 1, math.inf)
         assert omitted < log_tol
         # a bound below 1e-300 is subnormal near its end and keeps few digits
         assert omitted <= math.log(max(bound, 1e-300)) + 1e-9
-        if m > 1:  # m - 1 was rejected: its omitted terms come near tail_tol
+        if m > 1:  # m - 1 was rejected: its omitted terms come near the tolerance
             assert logsumexp(parts[np.abs(n) > m - 1]) > log_tol - 2.0
-        assert abs(price - koko_price(env, spec, SeriesConfig(n_max=50))) < cfg.tail_tol
+        assert abs(price - koko_price(env, spec, SeriesConfig(n_max=50))) < tol
+
+
+# |koko_price - oracle| / max(1, |oracle|) reached 4.9e-13 over 6,933
+# draws of image_corridors' ranges (round-off, amplified where the terms
+# cancel)
+ORACLE_TOL = 2e-12
+
+
+class TestImageSeriesOracle:
+    """koko_price equals the image series written from its formulas and
+    summed at 60 digits over the same n = -m..m, then clamped to
+    [0, vanilla] as koko_price clamps."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(image_corridors())
+    def test_matches_the_oracle_at_its_term_count(self, case):
+        env, spec = case
+        price, pieces, n_max = _series_inputs(env, spec)
+        assume(pieces is not None)
+        m = double_barrier._series_cut(pieces, n_max) or n_max
+        oracle = min(max(corridor_series_oracle(env, spec, m), 0.0),
+                     gk_price(env, spec.direction, spec.strike))
+        assert abs(price - oracle) <= ORACLE_TOL * max(1.0, abs(oracle))
+
+    @pytest.mark.xfail(strict=True, reason="a term whose N(hi) - N(lo) underflows to 0 "
+                       "is dropped, though its power e^1040 makes it 0.0087")
+    def test_term_with_underflowing_normal_difference(self):
+        # long-dated with alpha = 2b/sigma^2 + 1 = 276: the reflected n = -1
+        # term is e^1040 (N(-45.7) - N(-72.8)). Monte Carlo (40,000
+        # bridge-corrected paths, 500 steps) gives 29.54 +- 0.13.
+        env = MarketEnvironment(86.39453633419285, 0.14286060852964838,
+                                0.012594567710750515, 0.03080209255053129,
+                                28.997343106153416)
+        spec = DoubleBarrierSpec(CALL, 43.36175496967161, 42.22716237086548,
+                                 3839.900414180896, OUT)
+        price, pieces, n_max = _series_inputs(env, spec)
+        oracle = corridor_series_oracle(env, spec, double_barrier._series_cut(pieces, n_max))
+        assert abs(price - oracle) <= ORACLE_TOL * max(1.0, abs(oracle))
 
 
 class TestKnockInCorridor:
