@@ -197,7 +197,10 @@ class TableRow:
     """One row of the single-barrier pricing table.
 
     ``coefficients`` are the signed weights of the decomposition
-    parameters (A, B, C, D) whose combination prices the row.
+    parameters (A, B, C, D) whose combination prices the row. ``combine``
+    sums the C and D terms first: at K = B they are equal to the bit, so a
+    row that weighs them -1 and +1 is its B term exactly, which is the
+    vanilla, however large C and D are.
     """
 
     name: str
@@ -209,7 +212,7 @@ class TableRow:
 
     def combine(self, a: float, b: float, c: float, d: float) -> float:
         ca, cb, cc, cd = self.coefficients
-        return ca * a + cb * b + cc * c + cd * d
+        return (cc * c + cd * d) + (ca * a + cb * b)
 
 
 # (phi, eta, knock, strike_above_barrier) -> (name, coefficients)

@@ -6,11 +6,14 @@ reflected-image terms indexed by ``n``. Each call sums n = -m..m for the
 smallest m whose closed-form bound on the omitted terms lies below the
 tail tolerance, capped at ``SeriesConfig.n_max``; at the cap a tail check
 warns when the first omitted terms are not negligible. The terms, the
-bound and the check all read one set of parameters affine in n. Greeks of
-these contracts come from the finite-difference route in ``fxx.router``.
+bound and the check all read one set of parameters affine in n. A term's
+N(hi) - N(lo) that underflows is taken in log space from the far tail,
+since its power can be large enough to make it count. Greeks of these
+contracts come from the finite-difference route in ``fxx.router``.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -24,6 +27,9 @@ from .single_barrier import _LOG_OVERFLOW, _NEGATIVE_CLAMP, price_single_barrier
 from .vanilla import _discounts, gk_price
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# at or below this z, log N(z) comes from the asymptotic series of Mills' ratio
+_TAIL_Z = -30.0
+_MIN_NORMAL = sys.float_info.min
 # bound, in price units, on what the omitted series terms may add
 _TAIL_TOL = 1e-12
 
@@ -50,11 +56,35 @@ def _ncdf_diff(hi: float, lo: float) -> float:
     return _N(hi) - _N(lo)
 
 
-def _pow_times(log_power: float, diff: float) -> float:
-    """exp(log_power) * diff for diff >= 0, overflow-checked."""
-    if diff <= 0.0:
-        return 0.0
-    x = log_power + math.log(diff)
+def _log_tail_diff(near: float, far: float) -> float:
+    """log(N(near) - N(far)) for far < near <= _TAIL_Z, from the asymptotic
+    series of Mills' ratio, N(z) = pdf(z)/|z| (1 - 1/z^2 + 3/z^4 - ...),
+    whose seventh term is below 3e-16 there."""
+    def series(z):
+        q = 1.0 / (z * z)
+        return 1.0 + q * (-1.0 + q * (3.0 + q * (-15.0 + q * (105.0 + q * (-945.0 + q * 10395.0)))))
+
+    log_near = -0.5 * near * near - _LOG_SQRT_2PI - math.log(-near) + math.log(series(near))
+    # log N(far) - log N(near), from the difference of the ends
+    gap = (-0.5 * (far - near) * (far + near) + math.log1p((near - far) / far)
+           + math.log(series(far) / series(near)))
+    return log_near + math.log(-math.expm1(gap))
+
+
+def _pow_times(log_power: float, hi: float, lo: float) -> float:
+    """exp(log_power) (N(hi) - N(lo)) for hi >= lo, overflow-checked. A
+    difference below the normal double range is taken in log space from
+    the far tail, where the power may still make the term count."""
+    diff = _ncdf_diff(hi, lo)
+    if diff >= _MIN_NORMAL:
+        x = log_power + math.log(diff)
+    else:
+        near, far = (-lo, -hi) if hi + lo > 0.0 else (hi, lo)  # N(near) - N(far)
+        # above the tail only (nearly) equal ends get here; in it
+        # N(near) < e^(-near^2/2), and a term below e^-745 is 0 in doubles
+        if not far < near <= _TAIL_Z or log_power - 0.5 * near * near < -745.0:
+            return 0.0
+        x = log_power + _log_tail_diff(near, far)
     if x > _LOG_OVERFLOW:
         raise NumericalError(
             f"corridor image power exp({x:.1f}) overflows; the series is outside "
@@ -163,10 +193,10 @@ def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
     def term(n: int) -> tuple:
         """The asset and cash parts of term n."""
         cn = c * n
-        return (_pow_times(lp_a * n, _ncdf_diff(a1 + cn, a2 + cn))
-                - _pow_times(ref_a - lp_a * n, _ncdf_diff(a3 - cn, a4 - cn)),
-                _pow_times(lp_c * n, _ncdf_diff(b1 + cn, b2 + cn))
-                - _pow_times(ref_c - lp_c * n, _ncdf_diff(b3 - cn, b4 - cn)))
+        return (_pow_times(lp_a * n, a1 + cn, a2 + cn)
+                - _pow_times(ref_a - lp_a * n, a3 - cn, a4 - cn),
+                _pow_times(lp_c * n, b1 + cn, b2 + cn)
+                - _pow_times(ref_c - lp_c * n, b3 - cn, b4 - cn))
 
     # the eight parts of the terms as functions of k = |n| (see
     # _tail_bound): image and reflected, asset and cash, for n > 0 then n < 0

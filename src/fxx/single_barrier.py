@@ -3,13 +3,16 @@
 Every barrier variant is a signed combination of four decomposition
 parameters (Reiner & Rubinstein, 1991), and so are its Greeks. ``_setup``
 computes what the four share once per call: the discount factors, the
-reflection exponent, the two reflection legs S F (B/S)^(g+1) and
-K D (B/S)^(g-1), and the d1-terms of S/K (A), S/B (B), B^2/(S K) (C) and
-B/S (D). Each value is ``vanilla._value``: A and B are the direct kernel,
-C and D the reflected kernel on the legs with the barrier side as the CDF
-sign. The Greeks are the kernels' exact chain-rule derivatives, plain
-tuples combined with the row coefficients the prices use; prices never
-compute them. A finite-difference engine cross-checks them in the tests.
+reflection exponent g, the mirrored spot S' = B^2/S, the reflection power
+P = (B/S)^(g-1), and the d1-terms of S/K (A), S/B (B), S'/K (C) and
+S'/B (D). A and B are the direct kernel of ``vanilla``; by the reflection
+principle C and D are phi eta P times the direct kernel of direction eta
+(the barrier side) at the mirrored spot. At K = B the d1-terms of C and D
+are the same bits, so C = D exactly. Each value is ``vanilla._value``; the
+Greeks are ``vanilla._direct_greeks``, the one closed-form Greek kernel,
+with the product rule on ln P for C and D. They are plain tuples combined
+with the row coefficients the prices use; prices never compute them. A
+40-digit oracle and a finite-difference engine check them in the tests.
 """
 
 import math
@@ -19,9 +22,8 @@ from .contracts import (BarrierSide, GreekSet, MarketEnvironment, OptionDirectio
                         SingleBarrierSpec, classify_single_barrier)
 from .errors import DomainError, NumericalError
 from .num_core import log_ratio
-from .num_core import std_normal_cdf as _N
-from .num_core import std_normal_pdf as _n
-from .vanilla import _check_scale, _direct_greeks, _discounts, _greek_set, _value
+from .vanilla import (_check_scale, _direct_greeks, _discounts, _finite, _greek_set,
+                      _out_of_range, _value)
 
 _NEGATIVE_CLAMP = 1e-10
 # largest exponent of a barrier power: leaves room for the spot/strike
@@ -41,7 +43,8 @@ class AbcdValues:
 
 
 def _setup(env: MarketEnvironment, strike: float, barrier: float) -> tuple:
-    """(s, F, D, g, lam = ln(B/S), Lf, Ld, d1-terms of A, B, C, D)."""
+    """(s, F, D, g, lam = ln(B/S), S' = B^2/S, P = (B/S)^(g-1), d1-terms of
+    A, B, C, D)."""
     S, sig = env.spot, env.sigma
     s = _check_scale(sig, env.T)
     F, D = _discounts(env)
@@ -53,58 +56,47 @@ def _setup(env: MarketEnvironment, strike: float, barrier: float) -> tuple:
         raise NumericalError(
             f"barrier reflection power exp({max(abs(pow_hi), abs(pow_lo)):.1f}) "
             f"overflows for barrier/spot={barrier / S!r}, sigma={sig!r}")
-    Lf, Ld = S * F * math.exp(pow_hi), strike * D * math.exp(pow_lo)
+    mirror = barrier * barrier / S
+    if not 0.0 < mirror < math.inf:
+        raise _out_of_range(f"mirrored spot {barrier!r}^2/{S!r}")
     nu_T = (env.drift + 0.5 * sig * sig) * env.T
-    return (s, F, D, g, lam, Lf, Ld,
+    return (s, F, D, g, lam, mirror, math.exp(pow_lo),
             (log_ratio(S, strike) + nu_T) / s, (log_ratio(S, barrier) + nu_T) / s,
-            (log_ratio(barrier * barrier, S * strike) + nu_T) / s, (lam + nu_T) / s)
-
-
-def _reflected_greeks(env: MarketEnvironment, phi: int, eta: int, s: float, g: float,
-                      lam: float, Lf: float, Ld: float, y: float) -> tuple:
-    """(value, delta, vega, vanna, volga) of the reflected kernel
-    phi*M, M = Lf N(eta y) - Ld N(eta (y - s)), with d1-term ``y``."""
-    S, sig = env.spot, env.sigma
-    value = _value(phi, Lf, Ld, eta, y, s)
-    M = phi * value  # exact: phi is +-1
-    e = y - s
-    Ny, Ne = _N(eta * y), _N(eta * e)
-    ny, ne = _n(y), _n(e)
-    dM_dS = (-(g / S) * Lf * Ny + ((g - 1.0) / S) * Ld * Ne
-             - (eta / (S * s)) * (Lf * ny - Ld * ne))
-    G = y * Ld * ne - e * Lf * ny
-    dG_dS = ((Ld * ne / S) * (-1.0 / s - (g - 1.0) * y + y * e / s)
-             - (Lf * ny / S) * (-1.0 / s - g * e + y * e / s))
-    dG_dsig = ((Ld * ne / sig) * (-e - 2.0 * g * lam * y + e * y * y)
-               + (Lf * ny / sig) * (y + 2.0 * g * lam * e - y * e * e))
-
-    vega_raw = -(2.0 * g * lam / sig) * M + (eta / sig) * G
-    vanna = phi * ((2.0 * g / (sig * S)) * M - (2.0 * g * lam / sig) * dM_dS
-                   + (eta / sig) * dG_dS)
-    volga = phi * ((6.0 * g * lam / (sig * sig)) * M
-                   - (2.0 * g * lam / sig) * vega_raw
-                   - (eta / (sig * sig)) * G
-                   + (eta / sig) * dG_dsig)
-    return value, phi * dM_dS, phi * vega_raw, vanna, volga
+            (lam + log_ratio(barrier, strike) + nu_T) / s, (lam + nu_T) / s)
 
 
 def _values(env: MarketEnvironment, phi: int, eta: int, strike: float,
             barrier: float) -> tuple:
-    """Values of (A, B, C, D)."""
-    s, F, D, _g, _lam, Lf, Ld, xa, xb, xc, xd = _setup(env, strike, barrier)
-    P, Q = env.spot * F, strike * D
-    return (_value(phi, P, Q, phi, xa, s), _value(phi, P, Q, phi, xb, s),
-            _value(phi, Lf, Ld, eta, xc, s), _value(phi, Lf, Ld, eta, xd, s))
+    """Values of (A, B, C, D); C and D may leave the double range."""
+    s, F, D, _g, _lam, mirror, P, xa, xb, xc, xd = _setup(env, strike, barrier)
+    w, SF, MF, Q = phi * eta * P, env.spot * F, mirror * F, strike * D
+    return (_value(phi, SF, Q, phi, xa, s), _value(phi, SF, Q, phi, xb, s),
+            w * _value(eta, MF, Q, eta, xc, s), w * _value(eta, MF, Q, eta, xd, s))
 
 
 def _greeks(env: MarketEnvironment, phi: int, eta: int, strike: float,
             barrier: float) -> tuple:
-    """(value, delta, vega, vanna, volga) tuples of (A, B, C, D)."""
-    s, F, D, g, lam, Lf, Ld, xa, xb, xc, xd = _setup(env, strike, barrier)
-    return (_direct_greeks(env.spot, env.sigma, phi, strike, s, F, D, xa),
-            _direct_greeks(env.spot, env.sigma, phi, strike, s, F, D, xb),
-            _reflected_greeks(env, phi, eta, s, g, lam, Lf, Ld, xc),
-            _reflected_greeks(env, phi, eta, s, g, lam, Lf, Ld, xd))
+    """(value, delta, vega, vanna, volga) tuples of (A, B, C, D). C and D
+    are phi eta P V(S', sigma), V the direct kernel of direction eta at the
+    mirrored spot: their Greeks are the product rule on
+    ln P = (g - 1) ln(B/S), with dS'/dS = -S'/S."""
+    s, F, D, g, lam, mirror, P, xa, xb, xc, xd = _setup(env, strike, barrier)
+    S, sig = env.spot, env.sigma
+    w, dmirror = phi * eta * P, -mirror / S
+    # d ln P by S, by sigma, by S and sigma, and by sigma twice
+    p_S, p_sig = -(g - 1.0) / S, -2.0 * g * lam / sig
+    p_Ssig, p_sigsig = 2.0 * g / (sig * S), 6.0 * g * lam / (sig * sig)
+
+    def reflected(y):
+        v, dv, vega, vanna, volga = _direct_greeks(mirror, sig, eta, strike, s, F, D, y)
+        dv, vanna = dmirror * dv, dmirror * vanna
+        vega_P = p_sig * v + vega  # d(P V)/dsigma over P
+        return (w * v, w * (p_S * v + dv), w * vega_P,
+                w * (p_S * vega_P + p_Ssig * v + p_sig * dv + vanna),
+                w * (p_sig * vega_P + p_sigsig * v + p_sig * vega + volga))
+
+    return (_direct_greeks(S, sig, phi, strike, s, F, D, xa),
+            _direct_greeks(S, sig, phi, strike, s, F, D, xb), reflected(xc), reflected(xd))
 
 
 def abcd(env: MarketEnvironment, phi: OptionDirection, eta: BarrierSide,
@@ -117,7 +109,7 @@ def abcd(env: MarketEnvironment, phi: OptionDirection, eta: BarrierSide,
     if strike <= 0.0 or barrier <= 0.0:
         raise DomainError("strike and barrier must be positive")
     alpha = (env.r_d - env.r_f - 0.5 * env.sigma * env.sigma) / (env.sigma * env.sigma)
-    return AbcdValues(*_values(env, int(phi), int(eta), strike, barrier), alpha)
+    return AbcdValues(*_finite(_values(env, int(phi), int(eta), strike, barrier)), alpha)
 
 
 def greeks_abcd(env: MarketEnvironment, phi: OptionDirection, eta: BarrierSide,
@@ -129,6 +121,8 @@ def greeks_abcd(env: MarketEnvironment, phi: OptionDirection, eta: BarrierSide,
 
 
 def _clamp(price: float) -> float:
+    if not math.isfinite(price):  # a C or D term left the double range
+        raise _out_of_range(f"barrier price {price!r}")
     if price < -_NEGATIVE_CLAMP:
         raise NumericalError(
             f"barrier price {price!r} below the negative tolerance; "

@@ -4,7 +4,10 @@ Every kernel value, vanilla or barrier, is ``_value``:
 phi*(P N(w x) - Q N(w (x - s))). The direct kernel is the vanilla formula,
 P = S F, Q = K D, w = phi, with x the d1-term of S against the strike (a
 vanilla, barrier parameter A) or the barrier (parameter B);
-``_direct_greeks`` adds its closed-form Greeks as a plain tuple. The
+``_direct_greeks`` adds its closed-form Greeks as a plain tuple. It is the
+only closed-form Greek kernel: barrier parameters C and D are the direct
+kernel at the mirrored spot B^2/S, and ``single_barrier`` takes their
+Greeks from it by the product rule. The
 vanilla kernel, ``_gk`` for the price and ``_gk_greeks`` for the Greek
 tuple, takes the volatility and the discount factors (F, D) explicitly:
 ``gk_price`` and ``gk_greeks`` pass the environment's, and the Vanna-Volga

@@ -15,8 +15,9 @@ the diff declares the move:
     python tests/golden/regen.py
 
 Each rewrite prints what moved against the file it replaces: the moved
-records per contract kind and per output, and the largest price move
-relative to max(1, |price|).
+records per contract kind and per output, the largest price move
+relative to max(1, |price|), and the outputs whose outcome switched
+between a number and an error.
 """
 
 import hashlib
@@ -26,6 +27,7 @@ import platform
 import random
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -191,30 +193,44 @@ def write(data: dict, path: Path = GOLDEN) -> None:
 
 def moves(old: dict, new: dict) -> list:
     """Lines saying which records of ``new`` differ from ``old``: counts per
-    contract kind (the id's first word) and per output, and the largest
-    move of a price present on both sides, relative to max(1, |price|)."""
+    contract kind (the id's first word) and per output, the largest move
+    of a price present on both sides, relative to max(1, |price|), and the
+    outputs whose outcome switched between a number and an error, counted
+    per kind and per output for each way."""
     if old.get("cases_sha256") != new["cases_sha256"]:
         return ["the draws changed: every record is new"]
-    by_kind, by_output = {}, {}
+    by_kind, by_output = Counter(), Counter()
+    switches = {"number -> error": (Counter(), Counter()),
+                "error -> number": (Counter(), Counter())}
     worst, worst_id = 0.0, None
     for cid, rec in new["records"].items():
         was = old["records"][cid]
         moved = [out for out in rec if rec[out] != was[out]]
+        kind = cid.split("-")[0]
         if moved:
-            kind = cid.split("-")[0]
-            by_kind[kind] = by_kind.get(kind, 0) + 1
+            by_kind[kind] += 1
         for out in moved:
-            by_output[out] = by_output.get(out, 0) + 1
+            by_output[out] += 1
+            failed = isinstance(rec[out][0], dict)  # {"error": ...}
+            if failed != isinstance(was[out][0], dict):
+                kinds, outputs = switches["number -> error" if failed else "error -> number"]
+                kinds[kind] += 1
+                outputs[out] += 1
         price, old_price = rec["price"][0], was["price"][0]
         if isinstance(price, list) and isinstance(old_price, list):  # [price, rule]
             move = abs(price[0] - old_price[0]) / max(1.0, abs(old_price[0]))
             if move > worst:
                 worst, worst_id = move, cid
     total = sum(by_kind.values())
-    return [f"{total} of {len(new['records'])} records moved",
-            f"  by contract kind: {by_kind}", f"  by output: {by_output}",
-            f"  largest price move: {worst:.3g} x max(1, |price|)"
-            + (f" ({worst_id})" if worst_id else "")]
+    lines = [f"{total} of {len(new['records'])} records moved",
+             f"  by contract kind: {dict(by_kind)}", f"  by output: {dict(by_output)}",
+             f"  largest price move: {worst:.3g} x max(1, |price|)"
+             + (f" ({worst_id})" if worst_id else "")]
+    for way, (kinds, outputs) in switches.items():
+        lines.append(f"  outcomes switched {way}: {sum(outputs.values())}"
+                     + (f", by contract kind {dict(kinds)}, by output {dict(outputs)}"
+                        if outputs else ""))
+    return lines
 
 
 if __name__ == "__main__":

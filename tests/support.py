@@ -148,6 +148,47 @@ def compare_parameter_greeks(env, direction, side, strike, barrier):
     return worst
 
 
+def abcd_oracle(env: MarketEnvironment, direction, side, strike: float, barrier: float,
+                dps: int = 40) -> tuple:
+    """(value, delta, vega, vanna, volga) of the decomposition parameters
+    A, B, C and D (Reiner & Rubinstein, 1991), written from their formulas
+    at ``dps`` digits; the Greeks are ``mpmath.diff`` derivatives in
+    (spot, sigma).
+
+    With phi the direction, eta the barrier side, s = sigma sqrt(T),
+    mu = (r_d - r_f - sigma^2/2) / sigma^2 and
+    z(x) = ln(x) / s + (1 + mu) s, each parameter is
+        phi (S e^(-r_f T) p_a N(w z) - K e^(-r_d T) p_c N(w (z - s))),
+    where A takes x = S/K and B takes x = S/B, both with w = phi and
+    p_a = p_c = 1, and C takes x = B^2/(S K) and D takes x = B/S, both with
+    w = eta, p_a = (B/S)^(2 mu + 2) and p_c = (B/S)^(2 mu)."""
+    mp = mpmath.mp
+    phi, eta = int(direction), int(side)
+    with mpmath.workdps(dps):
+        K, B, T = mp.mpf(strike), mp.mpf(barrier), mp.mpf(env.T)
+        r_d, r_f = mp.mpf(env.r_d), mp.mpf(env.r_f)
+
+        def parameter(idx):
+            def value(S, sig):
+                s = sig * mp.sqrt(T)
+                mu = (r_d - r_f - sig ** 2 / 2) / sig ** 2
+                x = (S / K, S / B, B ** 2 / (S * K), B / S)[idx]
+                z = mp.log(x) / s + (1 + mu) * s
+                asset, cash = S * mp.exp(-r_f * T), K * mp.exp(-r_d * T)
+                w = phi
+                if idx >= 2:
+                    w = eta
+                    asset *= (B / S) ** (2 * mu + 2)
+                    cash *= (B / S) ** (2 * mu)
+                return phi * (asset * mp.ncdf(w * z) - cash * mp.ncdf(w * (z - s)))
+            return value
+
+        point = (mp.mpf(env.spot), mp.mpf(env.sigma))
+        return tuple(tuple(float(mp.diff(parameter(idx), point, order))
+                           for order in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2)))
+                     for idx in range(4))
+
+
 def corridor_series_oracle(env: MarketEnvironment, spec, m: int, dps: int = 60) -> float:
     """Knock-out corridor price from the image series of Ikeda & Kunitomo
     (1992), flat barriers, summed over n = -m..m at ``dps`` digits.

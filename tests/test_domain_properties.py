@@ -1,9 +1,10 @@
 """Properties of the barrier closed forms over random layouts: the closed
 forms accept exactly the contracts the Monte Carlo engine accepts, in/out
 parity holds for single barriers and corridors at any strike, barrier
-prices lie between 0 and the vanilla, a corridor knock-out is worth no more
-than either single knock-out, a KIKO rule id depends on the barriers
-alone, the value-only prices equal the Greek path's values bit for bit,
+prices lie between 0 and the vanilla (a strike at the barrier included),
+a corridor knock-out is worth no more than either single knock-out, a
+KIKO rule id depends on the barriers alone, the value-only prices equal
+the Greek path's values bit for bit,
 and far outside desk ranges a vanilla or single-barrier price, Greek set
 or Vanna-Volga price is finite or a typed PricingError."""
 
@@ -43,13 +44,13 @@ def _place(draw, spot: float) -> tuple:
 
 
 @st.composite
-def singles(draw, knock=KnockType.OUT):
+def singles(draw, knock=KnockType.OUT, at_barrier=False):
     """(env, SingleBarrierSpec) with the barrier on a random side of spot;
-    any strike."""
+    any strike, or the strike at the barrier."""
     env = draw(markets)
     barrier, side = _place(draw, env.spot)
-    return env, SingleBarrierSpec(draw(directions), env.spot * draw(moneyness),
-                                  barrier, side, knock)
+    strike = barrier if at_barrier else env.spot * draw(moneyness)
+    return env, SingleBarrierSpec(draw(directions), strike, barrier, side, knock)
 
 
 @st.composite
@@ -124,6 +125,8 @@ def test_single_barrier_in_plus_out_is_vanilla(case):
 
 @PROPERTY
 @given(st.one_of(singles(KnockType.OUT), singles(KnockType.IN),
+                 singles(KnockType.OUT, at_barrier=True),
+                 singles(KnockType.IN, at_barrier=True),
                  corridors(KnockType.OUT), corridors(KnockType.IN)))
 @pytest.mark.filterwarnings("ignore::fxx.errors.TruncationWarning")
 def test_barrier_price_between_zero_and_vanilla(case):

@@ -288,12 +288,11 @@ class TestImageSeriesOracle:
                      gk_price(env, spec.direction, spec.strike))
         assert abs(price - oracle) <= ORACLE_TOL * max(1.0, abs(oracle))
 
-    @pytest.mark.xfail(strict=True, reason="a term whose N(hi) - N(lo) underflows to 0 "
-                       "is dropped, though its power e^1040 makes it 0.0087")
     def test_term_with_underflowing_normal_difference(self):
         # long-dated with alpha = 2b/sigma^2 + 1 = 276: the reflected n = -1
-        # term is e^1040 (N(-45.7) - N(-72.8)). Monte Carlo (40,000
-        # bridge-corrected paths, 500 steps) gives 29.54 +- 0.13.
+        # term is e^1040 (N(-45.7) - N(-72.8)) = 0.0087, its difference far
+        # below the double range. Monte Carlo (40,000 bridge-corrected
+        # paths, 500 steps) gives 29.54 +- 0.13.
         env = MarketEnvironment(86.39453633419285, 0.14286060852964838,
                                 0.012594567710750515, 0.03080209255053129,
                                 28.997343106153416)

@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
-from support import barrier_grid, compare_parameter_greeks, in_out_pair
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from support import abcd_oracle, barrier_grid, compare_parameter_greeks, in_out_pair
+from test_domain_properties import directions, distances, markets, moneyness
 
 from fxx import (BarrierSide, DomainError, KnockType, MarketEnvironment,
                  McConfig, NumericalError, OptionDirection, PreconditionError,
@@ -45,6 +48,18 @@ class TestAbcd:
         env = MarketEnvironment(spot=100.0, r_d=0.08, r_f=-0.02, sigma=0.01, T=1.0)
         with pytest.raises(NumericalError, match="overflow"):
             abcd(env, CALL, LOW, 100.0, 20.0)
+
+    def test_reflected_term_beyond_double_range(self):
+        # P = (B/S)^(g-1) = 10^290 passes the power guard, but times the
+        # put kernel at the mirrored spot (~1e20) it overflows
+        env = MarketEnvironment(spot=1.0, r_d=1.455, r_f=0.0, sigma=0.1, T=1.0)
+        for knock in (IN, OUT):
+            spec = SingleBarrierSpec(PUT, 1e20, 10.0, UP, knock)
+            for pricer in (price_single_barrier, greeks_single_barrier):
+                with pytest.raises(NumericalError, match="double range"):
+                    pricer(env, spec)
+        with pytest.raises(NumericalError, match="double range"):
+            abcd(env, PUT, UP, 1e20, 10.0)
 
     def test_degenerate_diffusion_rejected(self):
         env = MarketEnvironment(spot=100.0, r_d=0.03, r_f=0.01, sigma=1e-9, T=1e-4)
@@ -92,6 +107,16 @@ class TestPrice:
             assert (price_single_barrier(env, spec)
                     <= gk_price(env, direction, strike) + 1e-10)
 
+    def test_reverse_up_in_call_keeps_its_vanilla(self):
+        # C = D = -1.2087e152 swamp B = 1.7358e130 unless C and D cancel
+        # first; the formulas at 500 digits give 1.7358142966366424e130,
+        # the vanilla
+        env = MarketEnvironment(1.3111151839552634e144, -1.8732608408003593,
+                                2.4927748369589846, 7.935625251806344, 12.819285661156893)
+        spec = SingleBarrierSpec(CALL, 4.8495993068729814e141, 1.4001065565732784e144, UP, IN)
+        assert price_single_barrier(env, spec) == pytest.approx(1.7358142966366424e130,
+                                                                rel=1e-12)
+
     def test_barrier_vanishing_limits(self):
         doc = SingleBarrierSpec(CALL, 100.0, 100.0 * 1e-6, LOW, OUT)
         assert price_single_barrier(ENV, doc) == pytest.approx(
@@ -118,6 +143,45 @@ class TestParameterGreeks:
         sets = greeks_abcd(MarketEnvironment(1000.0, 0.03, 0.01, 0.2, 1.0),
                            CALL, LOW, 10.0, 5.0)
         assert sets[0].delta == pytest.approx(math.exp(-0.01), abs=1e-12)
+
+
+@st.composite
+def abcd_layouts(draw):
+    """(env, direction, side, strike, barrier) on the desk ranges, every
+    (direction, side) pair, the barrier 3-30% from spot on its side and the
+    strike at the barrier or anywhere from 0.5 to 1.5 spot."""
+    env = draw(markets)
+    side = draw(st.sampled_from((UP, LOW)))
+    factor = draw(distances)
+    barrier = env.spot * factor if side == UP else env.spot / factor
+    strike = barrier if draw(st.booleans()) else env.spot * draw(moneyness)
+    return env, draw(directions), side, strike, barrier
+
+
+# Worst errors over 4,000 draws of abcd_layouts' ranges, the larger of
+# the reflected chain rule and the direct kernel at the mirrored spot:
+# value 6.4e-14 x max(1, vanilla); delta 2.2e-15, vega 1e-13, vanna
+# 7.2e-14 and volga 4.9e-12 (1.4e-12 with the chain rule), each
+# x max(1, |Greek|). The volga of C and D is a small difference of terms
+# in (d ln P/d sigma)^2, which scale up the round-off of their values.
+ORACLE_BOUNDS = (2e-13, 1e-14, 5e-13, 5e-13, 2e-11)
+
+
+class TestAbcdOracle:
+    """greeks_abcd equals A, B, C and D written from their formulas at 40
+    digits, values and Greeks."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(abcd_layouts())
+    def test_values_and_greeks_match_the_oracle(self, layout):
+        env, direction, side, strike, barrier = layout
+        scale = max(1.0, gk_price(env, direction, strike))
+        for got, want in zip(greeks_abcd(env, direction, side, strike, barrier),
+                             abcd_oracle(env, direction, side, strike, barrier)):
+            got = got.as_tuple()
+            assert abs(got[0] - want[0]) <= ORACLE_BOUNDS[0] * scale
+            for g, w, bound in zip(got[1:], want[1:], ORACLE_BOUNDS[1:]):
+                assert abs(g - w) <= bound * max(1.0, abs(w))
 
 
 class TestOptionGreeks:
