@@ -5,7 +5,8 @@ The closed forms and the Vanna-Volga adjustment are pure Python; only the
 Monte Carlo engine needs numpy and scipy. The Monte Carlo and Vanna-Volga
 modules load on first access to one of their names: the first keeps
 numpy and scipy out of every other command, the second spares `price`
-and `greeks` loading a module they never use.
+and `greeks` loading a module they never use, and the standard library's
+`statistics` that its normal quantile imports.
 """
 
 import importlib
@@ -19,7 +20,7 @@ from .errors import (ClassificationError, DomainError, IllConditionedError,
                      NumericalError, PreconditionError, PricingError,
                      TruncationWarning)
 from .greeks_fd import FdBumps, fd_greeks
-from .num_core import erf, erfc, inv_std_normal_cdf, std_normal_cdf, std_normal_pdf
+from .num_core import erf, erfc, std_normal_cdf, std_normal_pdf
 from .router import greeks_contract, kiki_greeks, kiko_greeks, koko_greeks, price_contract
 from .single_barrier import (AbcdValues, abcd, greeks_abcd, greeks_single_barrier,
                              price_single_barrier)
@@ -32,7 +33,7 @@ _LAZY = {
                     "mc_oracle"),
     **dict.fromkeys(("Pivot", "PivotQuotes", "PivotSet", "PivotSystem", "VVResult",
                      "atm_strike", "build_pivot_system", "build_pivots",
-                     "solve_delta_strike", "vv_price", "vv_weights"),
+                     "inv_std_normal_cdf", "solve_delta_strike", "vv_price", "vv_weights"),
                     "vanna_volga"),
 }
 

@@ -6,10 +6,12 @@ breached) through ``validate_against``.
 """
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PreconditionError
+from .num_core import _require_finite
 
 
 class OptionDirection(enum.IntEnum):
@@ -38,13 +40,6 @@ def _positive(value: float, name: str) -> float:
     return value
 
 
-def _finite(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class MarketEnvironment:
     """Flat FX market: spot, domestic/foreign rates, volatility, maturity.
@@ -61,8 +56,8 @@ class MarketEnvironment:
 
     def __post_init__(self):
         _positive(self.spot, "spot")
-        _finite(self.r_d, "r_d")
-        _finite(self.r_f, "r_f")
+        _require_finite(self.r_d, "r_d")
+        _require_finite(self.r_f, "r_f")
         _positive(self.sigma, "sigma")
         _positive(self.T, "T")
 
@@ -170,7 +165,7 @@ class GreekSet:
 
     def __post_init__(self):
         for name in ("value", "delta", "vega", "vanna", "volga"):
-            _finite(getattr(self, name), name)
+            _require_finite(getattr(self, name), name)
 
     def __add__(self, other: "GreekSet") -> "GreekSet":
         return GreekSet(self.value + other.value, self.delta + other.delta,
@@ -215,39 +210,32 @@ class TableRow:
         return (cc * c + cd * d) + (ca * a + cb * b)
 
 
-# (phi, eta, knock, strike_above_barrier) -> (name, coefficients)
-_TABLE_ROWS = {
-    (1, -1, KnockType.IN, True): ("Up and In Call", (1, 0, 0, 0)),
-    (1, 1, KnockType.IN, True): ("Down and In Call", (0, 0, 1, 0)),
-    (1, -1, KnockType.OUT, True): ("Up and Out Call", (0, 0, 0, 0)),
-    (1, 1, KnockType.OUT, True): ("Down and Out Call", (1, 0, -1, 0)),
-    (1, -1, KnockType.IN, False): ("Reverse Up and In Call", (0, 1, -1, 1)),
-    (1, 1, KnockType.IN, False): ("Reverse Down and In Call", (1, -1, 0, 1)),
-    (1, -1, KnockType.OUT, False): ("Reverse Up and Out Call", (1, -1, 1, -1)),
-    (1, 1, KnockType.OUT, False): ("Reverse Down and Out Call", (0, 1, 0, -1)),
-    (-1, -1, KnockType.IN, False): ("Up and In Put", (0, 0, 1, 0)),
-    (-1, 1, KnockType.IN, False): ("Down and In Put", (1, 0, 0, 0)),
-    (-1, -1, KnockType.OUT, False): ("Up and Out Put", (1, 0, -1, 0)),
-    (-1, 1, KnockType.OUT, False): ("Down and Out Put", (0, 0, 0, 0)),
-    (-1, -1, KnockType.IN, True): ("Reverse Up and In Put", (1, -1, 0, 1)),
-    (-1, 1, KnockType.IN, True): ("Reverse Down and In Put", (0, 1, -1, 1)),
-    (-1, -1, KnockType.OUT, True): ("Reverse Up and Out Put", (0, 1, 0, -1)),
-    (-1, 1, KnockType.OUT, True): ("Reverse Down and Out Put", (1, -1, 1, -1)),
+# (phi * eta, reverse) -> coefficients of the knock-out row; reverse is
+# (K > B) != (phi is a call). Its knock-in row is A less them (in/out parity).
+_KNOCK_OUT = {
+    (-1, False): (0, 0, 0, 0),
+    (1, False): (1, 0, -1, 0),
+    (-1, True): (1, -1, 1, -1),
+    (1, True): (0, 1, 0, -1),
 }
 
 
-def _table_row(key: tuple, name: str, coefficients: tuple) -> TableRow:
-    phi, eta, knock, _strike_above = key
-    reverse = name.startswith("Reverse")
-    side_tag = "U" if eta == BarrierSide.UPPER else "D"
-    knock_tag = "I" if knock == KnockType.IN else "O"
-    kind = "call" if phi == 1 else "put"
-    rule_id = f"{side_tag}{knock_tag}-{kind}-{'reverse' if reverse else 'standard'}"
-    return TableRow(name=name, rule_id=rule_id, phi=phi, eta=eta,
+def _table_row(phi: int, eta: int, knock: KnockType, strike_above: bool) -> TableRow:
+    reverse = strike_above != (phi == 1)
+    coefficients = _KNOCK_OUT[phi * eta, reverse]
+    if knock == KnockType.IN:
+        coefficients = tuple(a - c for a, c in zip((1, 0, 0, 0), coefficients))
+    up, kind = eta == BarrierSide.UPPER, "call" if phi == 1 else "put"
+    name = (f"{'Reverse ' if reverse else ''}{'Up' if up else 'Down'} and "
+            f"{knock.value.capitalize()} {kind.capitalize()}")
+    rule_id = (f"{'U' if up else 'D'}{knock.value[0].upper()}-{kind}-"
+               f"{'reverse' if reverse else 'standard'}")
+    return TableRow(name=name, rule_id=rule_id, phi=int(phi), eta=int(eta),
                     reverse=reverse, coefficients=coefficients)
 
 
-_TABLE = {key: _table_row(key, *row) for key, row in _TABLE_ROWS.items()}
+_TABLE = {key: _table_row(*key) for key in itertools.product(
+    OptionDirection, BarrierSide, KnockType, (True, False))}
 
 
 def classify_single_barrier(spec: SingleBarrierSpec) -> TableRow:

@@ -24,7 +24,7 @@ from .errors import (ClassificationError, NumericalError, PreconditionError,
 from .num_core import log_ratio
 from .num_core import std_normal_cdf as _N
 from .single_barrier import _LOG_OVERFLOW, _NEGATIVE_CLAMP, price_single_barrier
-from .vanilla import _discounts, gk_price
+from .vanilla import _check_scale, _discounts, gk_price
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # at or below this z, log N(z) comes from the asymptotic series of Mills' ratio
@@ -153,7 +153,8 @@ def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
     closed-form bound on all omitted terms (``_tail_bound``) lies below
     ``_TAIL_TOL``. When none does, it sums to ``cfg.n_max`` and warns
     (TruncationWarning) if the first omitted terms reach ``_TAIL_TOL``.
-    The result is clamped to [0, vanilla].
+    The result is clamped to [0, vanilla]. A diffusion scale sigma sqrt(T)
+    below 1e-10 raises DomainError, as for single barriers.
     """
     if spec.knock != KnockType.OUT:
         raise PreconditionError("koko_price prices knock-out corridors only")
@@ -166,7 +167,7 @@ def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
 
     S, T, sig = env.spot, env.T, env.sigma
     b = env.drift
-    s = sig * math.sqrt(T)
+    s = _check_scale(sig, T)
     alpha = 2.0 * b / (sig * sig) + 1.0
     nu_T = (b + 0.5 * sig * sig) * T
     ln_UL = log_ratio(U, L)

@@ -8,7 +8,8 @@ the portfolio-weighted market-versus-flat cost, which collapses to the
 risk-reversal and butterfly legs because the straddle leg carries no
 market-versus-flat gap. The 3x3 algebra is plain Python: one adjugate
 inverse, kept on the ``PivotSystem``, gives the condition estimate, the
-solve and its refinement step.
+solve and its refinement step. The delta-strike solve takes its normal
+quantile from the standard library's ``statistics.NormalDist``.
 
 All pivot quantities (strikes, Greeks, flat prices) are evaluated at the
 pivot at-the-money volatility, which overrides the volatility carried by
@@ -20,16 +21,17 @@ of exactly 0.0 and is not priced twice.
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 from .contracts import GreekSet, MarketEnvironment, OptionDirection
 from .double_barrier import SeriesConfig
 from .errors import DomainError, IllConditionedError
-from .num_core import inv_std_normal_cdf
 from .router import greeks_contract
 from .vanilla import _check_scale, _discounts, _gk, _gk_greeks, _out_of_range
 
 _MAX_CONDITION = 1e12
 _PIVOT_DELTA = 0.25
+_STD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,14 @@ def _pivot_strike(spot: float, log_moneyness: float) -> float:
 def atm_strike(env: MarketEnvironment) -> float:
     """Delta-neutral straddle strike: call and put deltas cancel there."""
     return _pivot_strike(env.spot, (env.drift + 0.5 * env.sigma * env.sigma) * env.T)
+
+
+def inv_std_normal_cdf(p: float) -> float:
+    """Quantile of the standard normal distribution (Wichura's AS 241)."""
+    p = float(p)
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"p must lie strictly inside (0, 1), got {p!r}")
+    return _STD_NORMAL.inv_cdf(p)
 
 
 def solve_delta_strike(env: MarketEnvironment, target_delta: float,

@@ -15,9 +15,9 @@ the diff declares the move:
     python tests/golden/regen.py
 
 Each rewrite prints what moved against the file it replaces: the moved
-records per contract kind and per output, the largest price move
-relative to max(1, |price|), and the outputs whose outcome switched
-between a number and an error.
+records per contract kind and per output, the largest move of each
+output's numbers relative to max(1, |number|), and the outputs whose
+outcome switched between a number and an error.
 """
 
 import hashlib
@@ -191,18 +191,27 @@ def write(data: dict, path: Path = GOLDEN) -> None:
                     '"records": {\n' + ",\n".join(lines) + "\n}\n}\n")
 
 
+def _largest_move(got, was) -> float:
+    """Largest |got - was| / max(1, |was|) over the numbers two results
+    share at the same positions; 0.0 when either is an error."""
+    if not (isinstance(got, list) and isinstance(was, list)):
+        return 0.0
+    return max((abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, was)
+                if isinstance(g, float) and isinstance(w, float)), default=0.0)
+
+
 def moves(old: dict, new: dict) -> list:
     """Lines saying which records of ``new`` differ from ``old``: counts per
     contract kind (the id's first word) and per output, the largest move
-    of a price present on both sides, relative to max(1, |price|), and the
-    outputs whose outcome switched between a number and an error, counted
-    per kind and per output for each way."""
+    of each output's numbers present on both sides, relative to
+    max(1, |number|), and the outputs whose outcome switched between a
+    number and an error, counted per kind and per output for each way."""
     if old.get("cases_sha256") != new["cases_sha256"]:
         return ["the draws changed: every record is new"]
     by_kind, by_output = Counter(), Counter()
     switches = {"number -> error": (Counter(), Counter()),
                 "error -> number": (Counter(), Counter())}
-    worst, worst_id = 0.0, None
+    worst = {}  # output -> (move, case id)
     for cid, rec in new["records"].items():
         was = old["records"][cid]
         moved = [out for out in rec if rec[out] != was[out]]
@@ -216,16 +225,16 @@ def moves(old: dict, new: dict) -> list:
                 kinds, outputs = switches["number -> error" if failed else "error -> number"]
                 kinds[kind] += 1
                 outputs[out] += 1
-        price, old_price = rec["price"][0], was["price"][0]
-        if isinstance(price, list) and isinstance(old_price, list):  # [price, rule]
-            move = abs(price[0] - old_price[0]) / max(1.0, abs(old_price[0]))
-            if move > worst:
-                worst, worst_id = move, cid
+            move = _largest_move(rec[out][0], was[out][0])
+            if move > worst.get(out, (0.0,))[0]:
+                worst[out] = (move, cid)
     total = sum(by_kind.values())
     lines = [f"{total} of {len(new['records'])} records moved",
-             f"  by contract kind: {dict(by_kind)}", f"  by output: {dict(by_output)}",
-             f"  largest price move: {worst:.3g} x max(1, |price|)"
-             + (f" ({worst_id})" if worst_id else "")]
+             f"  by contract kind: {dict(by_kind)}", f"  by output: {dict(by_output)}"]
+    for out in next(iter(new["records"].values())):
+        move, cid = worst.get(out, (0.0, None))
+        lines.append(f"  largest {out} move: {move:.3g} x max(1, |number|)"
+                     + (f" ({cid})" if cid else ""))
     for way, (kinds, outputs) in switches.items():
         lines.append(f"  outcomes switched {way}: {sum(outputs.values())}"
                      + (f", by contract kind {dict(kinds)}, by output {dict(outputs)}"

@@ -246,6 +246,15 @@ class TestGreeks:
         assert record["method"] == "fd"
         assert any("finite differences" in w for w in record["warnings"])
 
+    @pytest.mark.parametrize("command", ["price", "greeks"])
+    def test_degenerate_corridor_scale_exits_3(self, tmp_path, capsys, command):
+        contract = {"type": "double_barrier", "direction": "call", "strike": 100.0,
+                    "lower_barrier": 90.0, "upper_barrier": 110.0, "knock": "out"}
+        market = dict(MARKET, volatility=1e-200)
+        code, out, err = run(capsys, command, write_request(tmp_path, contract, market))
+        assert (code, out) == (3, "")
+        assert "diffusion scale" in err
+
 
 class TestVvPrice:
     def test_flat_smile(self, tmp_path, capsys):

@@ -5,8 +5,8 @@ prices lie between 0 and the vanilla (a strike at the barrier included),
 a corridor knock-out is worth no more than either single knock-out, a
 KIKO rule id depends on the barriers alone, the value-only prices equal
 the Greek path's values bit for bit,
-and far outside desk ranges a vanilla or single-barrier price, Greek set
-or Vanna-Volga price is finite or a typed PricingError."""
+and far outside desk ranges a price, Greek set or Vanna-Volga price of
+any contract is finite or a typed PricingError."""
 
 import math
 import warnings
@@ -174,24 +174,43 @@ extreme_markets = st.builds(MarketEnvironment, spot=_log_uniform(1e-300, 1e300),
 extreme_ratios = _log_uniform(1e-3, 1e3)
 
 
+def _extreme_barrier(draw, spot: float, side: BarrierSide) -> float:
+    distance = draw(_log_uniform(1.0, 1e3))
+    return spot * distance if side == BarrierSide.UPPER else spot / distance
+
+
 @st.composite
 def extreme_contracts(draw):
-    """(env, VanillaSpec or SingleBarrierSpec) over the extreme markets,
-    strike and barrier within a factor 1e3 of spot."""
+    """(env, spec) over the extreme markets: a vanilla, a single barrier, a
+    corridor or a KIKO pair, strike and barriers within a factor 1e3 of
+    spot on their sides."""
     env = draw(extreme_markets)
     direction = draw(directions)
     strike = env.spot * draw(extreme_ratios)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("vanilla", "single", "corridor", "kiko")))
+    if kind == "vanilla":
         return env, VanillaSpec(direction, strike)
-    distance = draw(_log_uniform(1.0, 1e3))
-    barrier, side = ((env.spot * distance, BarrierSide.UPPER) if draw(st.booleans())
-                     else (env.spot / distance, BarrierSide.LOWER))
-    return env, SingleBarrierSpec(direction, strike, barrier, side,
-                                  draw(st.sampled_from((KnockType.IN, KnockType.OUT))))
+    sides = st.sampled_from((BarrierSide.LOWER, BarrierSide.UPPER))
+    if kind == "single":
+        side = draw(sides)
+        return env, SingleBarrierSpec(direction, strike, _extreme_barrier(draw, env.spot, side),
+                                      side, draw(st.sampled_from((KnockType.IN, KnockType.OUT))))
+    if kind == "corridor":
+        lower = _extreme_barrier(draw, env.spot, BarrierSide.LOWER)
+        upper = _extreme_barrier(draw, env.spot, BarrierSide.UPPER)
+        assume(lower < upper)
+        return env, DoubleBarrierSpec(direction, strike, lower, upper,
+                                      draw(st.sampled_from((KnockType.IN, KnockType.OUT))))
+    side_in, side_out = draw(sides), draw(sides)
+    b_in = _extreme_barrier(draw, env.spot, side_in)
+    b_out = _extreme_barrier(draw, env.spot, side_out)
+    assume(b_in != b_out)
+    return env, KikoSpec(direction, strike, b_in, side_in, b_out, side_out)
 
 
 @settings(PROPERTY, max_examples=1000)
 @given(extreme_contracts())
+@pytest.mark.filterwarnings("ignore::fxx.errors.TruncationWarning")
 def test_every_failure_is_a_typed_pricing_error(case):
     env, spec = case
     try:

@@ -12,7 +12,7 @@ from scipy.special import log_ndtr, logsumexp
 
 import fxx.double_barrier as double_barrier
 from fxx import (BarrierSide, DoubleBarrierSpec, FdBumps, KikoSpec, KnockType,
-                 ClassificationError, MarketEnvironment, McConfig, OptionDirection,
+                 ClassificationError, DomainError, MarketEnvironment, McConfig, OptionDirection,
                  PreconditionError, SeriesConfig, TruncationWarning, gk_greeks,
                  gk_price, greeks_contract, greeks_single_barrier, kiki_greeks,
                  kiki_price, kiko_greeks, kiko_price, koko_greeks, koko_price,
@@ -144,6 +144,16 @@ class TestKnockOutCorridor:
     def test_wrong_knock_rejected(self):
         with pytest.raises(PreconditionError):
             koko_price(ENV, DoubleBarrierSpec(CALL, 100.0, 85.0, 115.0, IN))
+
+    @pytest.mark.parametrize("sigma,T", [(1e-200, 1.0), (1e-6, 1e-9)])
+    def test_degenerate_diffusion_scale_is_domain_error(self, sigma, T):
+        # sigma sqrt(T) below 1e-10, as single barriers reject it
+        env = replace(ENV, sigma=sigma, T=T)
+        for price, spec in ((koko_price, DoubleBarrierSpec(CALL, 100.0, 90.0, 110.0, OUT)),
+                            (kiki_price, DoubleBarrierSpec(CALL, 100.0, 90.0, 110.0, IN)),
+                            (kiko_price, KikoSpec(CALL, 100.0, 90.0, LOW, 110.0, UP))):
+            with pytest.raises(DomainError, match="diffusion scale"):
+                price(env, spec)
 
     @pytest.mark.filterwarnings("ignore::fxx.errors.TruncationWarning")
     def test_monotone_in_corridor_width(self):

@@ -1,6 +1,8 @@
 """Only the Monte Carlo engine imports numpy or scipy: `price`, `greeks`
-and `vv-price` load neither, and every public name of the package still
-resolves, numpy-backed or not.
+and `vv-price` load neither, `price` and `greeks` do not load the
+standard library's `statistics` either (only Vanna-Volga's quantile uses
+it), and every public name of the package still resolves, numpy-backed
+or not.
 
 The checks run in one fresh interpreter: this test process has numpy
 loaded already.
@@ -38,6 +40,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         report["codes"].append(main(["price", name + ".json"]))
         report["codes"].append(main(["greeks", name + ".json"]))
     report["after_closed_forms"] = loaded()
+    report["statistics_after_closed_forms"] = "statistics" in sys.modules
     report["codes"].append(main(["vv-price", "single.json", "quotes.json"]))
     report["after_vv_price"] = loaded()
 
@@ -77,6 +80,10 @@ def test_commands_succeed(child_report):
 
 def test_price_and_greeks_load_neither_numpy_nor_scipy(child_report):
     assert child_report["after_closed_forms"] == []
+
+
+def test_price_and_greeks_do_not_load_statistics(child_report):
+    assert not child_report["statistics_after_closed_forms"]
 
 
 def test_vv_price_loads_neither_numpy_nor_scipy(child_report):
