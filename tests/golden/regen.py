@@ -18,6 +18,14 @@ Each rewrite prints what moved against the file it replaces: the moved
 records per contract kind and per output, the largest move of each
 output's numbers relative to max(1, |number|), and the outputs whose
 outcome switched between a number and an error.
+
+The same run rewrites ``mc.json``: ``mc_price_batch`` on the ten contracts
+of acceptance criterion 4 at 2048 paths x 50 steps, with and without the
+bridge correction, as (price, standard error) pairs, together with the
+numpy version that drew them. NEP 19 lets numpy change a Generator's
+streams between releases, so the file says which release it holds. Its
+rewrite reports how many records moved and the largest move in units of
+the two standard errors combined.
 """
 
 import hashlib
@@ -28,19 +36,24 @@ import random
 import sys
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parents[1] / "src"))
+sys.path.insert(0, str(HERE.parent))
 
 import numpy  # noqa: E402  (recorded with the platform, not used here)
 
 from fxx import (BarrierSide, DoubleBarrierSpec, KikoSpec, KnockType,  # noqa: E402
-                 MarketEnvironment, OptionDirection, PivotQuotes, PricingError,
-                 SingleBarrierSpec, TruncationWarning, VanillaSpec, greeks_contract,
-                 price_contract, vv_price)
+                 MarketEnvironment, McConfig, OptionDirection, PivotQuotes,
+                 PricingError, SingleBarrierSpec, TruncationWarning, VanillaSpec,
+                 greeks_contract, mc_price_batch, price_contract, vv_price)
+from support import MC_CONTRACTS, MC_ENV  # noqa: E402
 
 GOLDEN = HERE / "library.json"
+MC_GOLDEN = HERE / "mc.json"
+MC_CONFIG = McConfig(n_paths=2048, n_steps=50, seed=20240811)
 SEED = 16
 CALL, PUT = OptionDirection.CALL, OptionDirection.PUT
 UP, LOW = BarrierSide.UPPER, BarrierSide.LOWER
@@ -181,14 +194,13 @@ def compute() -> dict:
             "records": {cid: record(env, spec) for cid, env, spec in cases}}
 
 
-def write(data: dict, path: Path = GOLDEN) -> None:
+def write(data: dict, path: Path) -> None:
     """One record per line, so a moved output shows as a one-line diff."""
+    head = [f"{json.dumps(key)}: {json.dumps(value)},\n"
+            for key, value in data.items() if key != "records"]
     lines = [f"  {json.dumps(cid)}: {json.dumps(rec)}"
              for cid, rec in data["records"].items()]
-    path.write_text("{\n"
-                    f'"platform": {json.dumps(data["platform"])},\n'
-                    f'"cases_sha256": {json.dumps(data["cases_sha256"])},\n'
-                    '"records": {\n' + ",\n".join(lines) + "\n}\n}\n")
+    path.write_text("{\n" + "".join(head) + '"records": {\n' + ",\n".join(lines) + "\n}\n}\n")
 
 
 def _largest_move(got, was) -> float:
@@ -242,9 +254,52 @@ def moves(old: dict, new: dict) -> list:
     return lines
 
 
+def mc_digest() -> str:
+    """SHA-256 of the Monte Carlo inputs: market, contracts and config."""
+    text = "\n".join(map(repr, [MC_ENV, *MC_CONTRACTS, MC_CONFIG]))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def mc_compute() -> dict:
+    """[price, std_error] per criterion-4 contract, keyed "bridge-<i>" and
+    "plain-<i>" by bridge correction and position in the list."""
+    records = {}
+    for bridge, name in ((True, "bridge"), (False, "plain")):
+        estimates = mc_price_batch(MC_ENV, MC_CONTRACTS,
+                                   replace(MC_CONFIG, bridge_correction=bridge))
+        records.update({f"{name}-{i}": [est.price, est.std_error]
+                        for i, est in enumerate(estimates)})
+    return {"numpy": numpy.__version__, "cases_sha256": mc_digest(), "records": records}
+
+
+def mc_z(got: list, want: list) -> float:
+    """|price difference| over the two standard errors combined; 0.0 for
+    equal prices, inf for different prices without any error."""
+    if got[0] == want[0]:
+        return 0.0
+    scale = math.hypot(got[1], want[1])
+    return abs(got[0] - want[0]) / scale if scale > 0.0 else math.inf
+
+
+def mc_moves(old: dict, new: dict) -> list:
+    """Lines saying how many Monte Carlo records moved and the largest
+    move in combined standard errors."""
+    if old.get("cases_sha256") != new["cases_sha256"]:
+        return ["the Monte Carlo inputs changed: every record is new"]
+    moved = [cid for cid, rec in new["records"].items() if rec != old["records"][cid]]
+    worst = max(((mc_z(new["records"][cid], old["records"][cid]), cid) for cid in moved),
+                default=(0.0, None))
+    return [f"{len(moved)} of {len(new['records'])} Monte Carlo records moved "
+            f"(numpy {old['numpy']} -> {new['numpy']})",
+            f"  largest price move: {worst[0]:.3g} combined standard errors"
+            + (f" ({worst[1]})" if worst[1] else "")]
+
+
 if __name__ == "__main__":
-    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    data = compute()
-    write(data)
-    print(f"wrote {GOLDEN}")
-    print("\n".join(moves(old, json.loads(json.dumps(data)))))
+    for path, compute_file, report in ((GOLDEN, compute, moves),
+                                       (MC_GOLDEN, mc_compute, mc_moves)):
+        old = json.loads(path.read_text()) if path.exists() else {}
+        data = compute_file()
+        write(data, path)
+        print(f"wrote {path}")
+        print("\n".join(report(old, json.loads(json.dumps(data)))))

@@ -7,12 +7,31 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 
-from fxx import (BarrierSide, FdBumps, IllConditionedError, KnockType, MarketEnvironment,
-                 OptionDirection, SingleBarrierSpec, fd_greeks, gk_greeks, gk_price)
+from fxx import (BarrierSide, DoubleBarrierSpec, FdBumps, IllConditionedError, KikoSpec,
+                 KnockType, MarketEnvironment, OptionDirection, SingleBarrierSpec,
+                 VanillaSpec, fd_greeks, gk_greeks, gk_price)
 from fxx.single_barrier import abcd, greeks_abcd
 from fxx.vanna_volga import _MAX_CONDITION, _inverse, _norm1
 
 EPS = 2.220446049250313e-16
+
+# The ten contracts of acceptance criterion 4, which the Monte Carlo
+# fingerprints in tests/golden/mc.json also price.
+_CALL, _PUT = OptionDirection.CALL, OptionDirection.PUT
+_UP, _LOW = BarrierSide.UPPER, BarrierSide.LOWER
+MC_ENV = MarketEnvironment(spot=100.0, r_d=0.02, r_f=0.01, sigma=0.2, T=0.5)
+MC_CONTRACTS = [
+    VanillaSpec(_CALL, 100.0),
+    VanillaSpec(_PUT, 100.0),
+    SingleBarrierSpec(_CALL, 100.0, 80.0, _LOW, KnockType.OUT),     # standard down-and-out
+    SingleBarrierSpec(_CALL, 110.0, 105.0, _UP, KnockType.IN),      # standard up-and-in
+    SingleBarrierSpec(_PUT, 95.0, 115.0, _UP, KnockType.OUT),       # standard up-and-out put
+    SingleBarrierSpec(_CALL, 95.0, 110.0, _UP, KnockType.OUT),      # reverse up-and-out call
+    DoubleBarrierSpec(_CALL, 100.0, 85.0, 115.0, KnockType.OUT),
+    DoubleBarrierSpec(_PUT, 100.0, 85.0, 115.0, KnockType.OUT),
+    DoubleBarrierSpec(_CALL, 100.0, 90.0, 112.0, KnockType.IN),
+    KikoSpec(_PUT, 105.0, 92.0, _LOW, 85.0, _LOW),
+]
 
 # Margins keeping sampled points away from classification boundaries
 # (0.1% bands per the acceptance rules, widened for FD stencil room) and

@@ -11,10 +11,10 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from support import barrier_grid, compare_parameter_greeks, in_out_pair
+from support import MC_CONTRACTS, MC_ENV, barrier_grid, compare_parameter_greeks, in_out_pair
 
 import fxx
-from fxx import (BarrierSide, DoubleBarrierSpec, KikoSpec, KnockType,
+from fxx import (BarrierSide, DoubleBarrierSpec, KnockType,
                  MarketEnvironment, McConfig, OptionDirection, PivotQuotes,
                  SeriesConfig, SingleBarrierSpec, VanillaSpec, build_pivots,
                  build_pivot_system, gk_greeks, gk_price, greeks_single_barrier,
@@ -98,21 +98,6 @@ def test_criterion_3_series_truncation_stability():
     assert elapsed < 2.0
     report("criterion 3 (corridor series truncation, 200 points)",
            f"worst |n5 - n20| {worst:.2e}, runtime {elapsed:.2f}s")
-
-
-MC_ENV = MarketEnvironment(spot=100.0, r_d=0.02, r_f=0.01, sigma=0.2, T=0.5)
-MC_CONTRACTS = [
-    VanillaSpec(CALL, 100.0),
-    VanillaSpec(PUT, 100.0),
-    SingleBarrierSpec(CALL, 100.0, 80.0, LOW, OUT),     # standard down-and-out
-    SingleBarrierSpec(CALL, 110.0, 105.0, UP, IN),      # standard up-and-in
-    SingleBarrierSpec(PUT, 95.0, 115.0, UP, OUT),       # standard up-and-out put
-    SingleBarrierSpec(CALL, 95.0, 110.0, UP, OUT),      # reverse up-and-out call
-    DoubleBarrierSpec(CALL, 100.0, 85.0, 115.0, OUT),
-    DoubleBarrierSpec(PUT, 100.0, 85.0, 115.0, OUT),
-    DoubleBarrierSpec(CALL, 100.0, 90.0, 112.0, IN),
-    KikoSpec(PUT, 105.0, 92.0, LOW, 85.0, LOW),
-]
 
 
 def test_criterion_4_monte_carlo_agreement():
