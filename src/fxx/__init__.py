@@ -2,11 +2,11 @@
 Vanna-Volga smile adjustment and a seeded Monte Carlo cross-check engine.
 
 The closed forms and the Vanna-Volga adjustment are pure Python; only the
-Monte Carlo engine needs numpy and scipy. The Monte Carlo and Vanna-Volga
-modules load on first access to one of their names: the first keeps
-numpy and scipy out of every other command, the second spares `price`
-and `greeks` loading a module they never use, and the standard library's
-`statistics` that its normal quantile imports.
+Monte Carlo engine needs numpy. The Monte Carlo and Vanna-Volga modules
+load on first access to one of their names: the first keeps numpy out of
+every other command, the second spares `price` and `greeks` loading a
+module they never use, and the standard library's `statistics` that its
+normal quantile imports.
 """
 
 import importlib
@@ -27,7 +27,7 @@ from .single_barrier import (AbcdValues, abcd, greeks_abcd, greeks_single_barrie
 from .vanilla import gk_greeks, gk_price
 
 # public name -> submodule that defines it, imported on first access:
-# mc_oracle for numpy and scipy, vanna_volga for its load time
+# mc_oracle for numpy, vanna_volga for its load time
 _LAZY = {
     **dict.fromkeys(("McConfig", "McEstimate", "mc_price", "mc_price_batch"),
                     "mc_oracle"),

@@ -203,7 +203,7 @@ def _cmd_vv_price(args) -> int:
 
 
 def _cmd_mc_check(args) -> int:
-    from .mc_oracle import McConfig, mc_price_batch  # numpy and scipy
+    from .mc_oracle import McConfig, mc_price_batch  # numpy
 
     env, spec = parse_request(args.request)
     cfg = McConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed,

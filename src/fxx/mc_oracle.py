@@ -13,7 +13,7 @@ precision. Such steps are skipped one by one, and the remaining factors
 multiply in step order, so no bit of the result changes.
 
 Each chunk of 512 paths lives in one ``(paths, steps)`` float64 array:
-the path uniforms are drawn into it, and the normal transform, scaling,
+the generator's standard normals are drawn into it, and the scaling,
 drift and cumulative sum overwrite it in place. A worker therefore holds
 about 512 x steps x 8 bytes of path at a time, and ``mc_price_batch``
 runs one worker per CPU this process may use unless told otherwise.
@@ -21,6 +21,8 @@ runs one worker per CPU this process may use unless told otherwise.
 Streams are keyed by (seed, chunk index, stream role) through
 ``SeedSequence``, which makes every estimate bit-reproducible for any
 thread count and independent of which contracts are batched together.
+NEP 19 lets numpy change a Generator's streams between feature
+releases, so the bits hold for one numpy release.
 """
 
 import math
@@ -29,14 +31,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .contracts import BarrierSide, MarketEnvironment
 from .errors import DomainError
 from .router import _lookup
 
 _CHUNK = 512           # paths per stream chunk; fixed, part of the stream layout
-_STREAM_PATH = 0       # per-step path uniforms
+_STREAM_PATH = 0       # per-step path normals
 _STREAM_SURVIVAL = 1   # thinning draw of the first barrier group
 _STREAM_TRIGGER = 2    # knock-in draw behind a knock-out group (in/out pairs)
 _NEAR_SDS = 5.0        # bridge std devs beyond which survival rounds to 1.0
@@ -152,9 +153,8 @@ class _SimulatedChunk:
         dt = env.T / cfg.n_steps
         drift = (env.drift - 0.5 * env.sigma * env.sigma) * dt
         vol = env.sigma * math.sqrt(dt)
-        path = _rng(cfg, index, _STREAM_PATH).random((n_paths, cfg.n_steps))
-        np.maximum(path, 2.0**-54, out=path)  # the generator can emit exactly 0.0
-        ndtri(path, out=path)
+        path = np.empty((n_paths, cfg.n_steps))
+        _rng(cfg, index, _STREAM_PATH).standard_normal(out=path)
         path *= vol
         path += drift
         self.log_path = np.cumsum(path, axis=1, out=path)
