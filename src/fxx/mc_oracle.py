@@ -33,8 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contracts import BarrierSide, MarketEnvironment
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .router import _lookup
+from .vanilla import _discounts
 
 _CHUNK = 512           # paths per stream chunk; fixed, part of the stream layout
 _STREAM_PATH = 0       # per-step path normals
@@ -129,7 +130,7 @@ class _ContractPlan:
         spec.validate_against(env)
         self.phi = int(spec.direction)
         self.strike = spec.strike
-        self.discount = math.exp(-env.r_d * env.T)
+        self.discount = _discounts(env)[1]
         self.knock_out = [_BarrierPlan(env, cfg, level, side) for level, side in knock_out]
         self.knock_in = [_BarrierPlan(env, cfg, level, side) for level, side in knock_in]
 
@@ -212,11 +213,15 @@ def mc_price_batch(env: MarketEnvironment, specs, cfg: McConfig,
 
     def run_chunk(index: int) -> None:
         n_here = min(_CHUNK, cfg.n_paths - index * _CHUNK)
-        chunk = _SimulatedChunk(env, cfg, index, n_here)
-        for j, plan in enumerate(plans):
-            pay = plan.payoffs(chunk)
-            sums[j, index] = pay.sum()
-            sumsqs[j, index] = (pay * pay).sum()
+        # an overflow either prices to a finite number (a put whose
+        # terminal spot is inf pays 0) or leaves a sum non-finite, which
+        # raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            chunk = _SimulatedChunk(env, cfg, index, n_here)
+            for j, plan in enumerate(plans):
+                pay = plan.payoffs(chunk)
+                sums[j, index] = pay.sum()
+                sumsqs[j, index] = (pay * pay).sum()
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(run_chunk, range(n_chunks)))
@@ -232,6 +237,9 @@ def mc_price_batch(env: MarketEnvironment, specs, cfg: McConfig,
             std_error = math.sqrt(variance / n)
         else:
             std_error = 0.0
+        if not (math.isfinite(mean) and math.isfinite(std_error)):
+            raise NumericalError(f"Monte Carlo estimate {mean!r} with standard error "
+                                 f"{std_error!r} leaves the double range")
         out.append(McEstimate(price=mean, std_error=std_error))
     return out
 

@@ -5,8 +5,9 @@ prices lie between 0 and the vanilla (a strike at the barrier included),
 a corridor knock-out is worth no more than either single knock-out, a
 KIKO rule id depends on the barriers alone, the value-only prices equal
 the Greek path's values bit for bit,
-and far outside desk ranges a price, Greek set or Vanna-Volga price of
-any contract is finite or a typed PricingError."""
+and far outside desk ranges a price, Greek set, Vanna-Volga price or
+one-path Monte Carlo estimate of any contract is finite or a typed
+PricingError."""
 
 import math
 import warnings
@@ -226,5 +227,10 @@ def test_every_failure_is_a_typed_pricing_error(case):
     try:
         result = vv_price(env, spec, PivotQuotes(sigma_atm=env.sigma))
         assert math.isfinite(result.vv_price)
+    except PricingError:
+        pass
+    try:
+        estimate = mc_price(env, spec, McConfig(n_paths=1, n_steps=1))
+        assert math.isfinite(estimate.price)
     except PricingError:
         pass

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fxx import (BarrierSide, DomainError, DoubleBarrierSpec, KnockType,
-                 MarketEnvironment, McConfig, OptionDirection, PreconditionError,
-                 SingleBarrierSpec, VanillaSpec, gk_price, mc_price,
+                 MarketEnvironment, McConfig, NumericalError, OptionDirection,
+                 PreconditionError, SingleBarrierSpec, VanillaSpec, gk_price, mc_price,
                  mc_price_batch, price_single_barrier)
 from fxx.mc_oracle import _BarrierPlan, _SimulatedChunk
 
@@ -30,6 +30,23 @@ class TestConfig:
         with pytest.raises(DomainError):
             mc_price(ENV, VanillaSpec(CALL, 100.0), McConfig(n_paths=10, n_steps=10),
                      threads=0)
+
+
+class TestNumericalFailures:
+    """A market whose arithmetic leaves the double range raises
+    NumericalError, as the closed form does, with no stray warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r_d, r_f, n_paths", [
+        (-1000.0, 0.01, 1),  # exp(-r_d T) overflows
+        (0.03, -1000.0, 1),  # exp(-r_f T) overflows
+        (0.03, -708.0, 1),   # the discounts are finite, the terminal spot is not
+        (0.03, -700.0, 2),   # a finite price, but the squared payoffs overflow
+    ])
+    def test_raises_numerical_error(self, r_d, r_f, n_paths):
+        env = MarketEnvironment(spot=100.0, r_d=r_d, r_f=r_f, sigma=0.2, T=1.0)
+        with pytest.raises(NumericalError):
+            mc_price(env, VanillaSpec(CALL, 100.0), McConfig(n_paths=n_paths, n_steps=1))
 
 
 class TestVanilla:
