@@ -1,10 +1,11 @@
-"""Only the Monte Carlo engine imports numpy or scipy: `price`, `greeks`
-and `vv-price` load neither, `price` and `greeks` do not load the
+"""Only the Monte Carlo engine imports numpy, and no command imports
+scipy: `price`, `greeks` and `vv-price` load neither, `mc-check` loads
+numpy and runs with scipy blocked, `price` and `greeks` do not load the
 standard library's `statistics` either (only Vanna-Volga's quantile uses
 it), and every public name of the package still resolves, numpy-backed
 or not.
 
-The checks run in one fresh interpreter: this test process has numpy
+The checks run in fresh interpreters: this test process has numpy
 loaded already.
 """
 
@@ -27,6 +28,8 @@ REQUESTS = {
                  "lower_barrier": 85.0, "upper_barrier": 115.0, "knock": "in"},
 }
 
+MC_CHECK = ["mc-check", "single.json", "--paths", "2048", "--steps", "50", "--bridge"]
+
 CHILD = """
 import contextlib, io, json, sys
 
@@ -43,6 +46,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     report["statistics_after_closed_forms"] = "statistics" in sys.modules
     report["codes"].append(main(["vv-price", "single.json", "quotes.json"]))
     report["after_vv_price"] = loaded()
+    report["codes"].append(main(MC_CHECK))
+    report["after_mc_check"] = loaded()
 
 import fxx
 star = {}
@@ -58,9 +63,18 @@ else:
 print(json.dumps(report))
 """
 
+SCIPY_BLOCKED = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from fxx.cli import main
+sys.exit(main(MC_CHECK))
+"""
+
 
 @pytest.fixture(scope="module")
-def child_report(tmp_path_factory):
+def run_child(tmp_path_factory):
+    """Runs a script in a fresh interpreter, in a directory holding the
+    request files, with MC_CHECK defined."""
     workdir = tmp_path_factory.mktemp("lazy")
     for name, contract in REQUESTS.items():
         (workdir / f"{name}.json").write_text(
@@ -68,14 +82,23 @@ def child_report(tmp_path_factory):
     (workdir / "quotes.json").write_text(json.dumps({"atm_vol": 0.2, "rr_25": -0.01,
                                                      "bf_25": 0.003}))
     env = dict(os.environ, PYTHONPATH=str(Path(fxx.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-c", CHILD], cwd=workdir, env=env,
-                          capture_output=True, text=True, timeout=120)
+
+    def run(script: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", f"MC_CHECK = {MC_CHECK!r}\n{script}"],
+                              cwd=workdir, env=env, capture_output=True, text=True,
+                              timeout=120)
+    return run
+
+
+@pytest.fixture(scope="module")
+def child_report(run_child):
+    proc = run_child(CHILD)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
 def test_commands_succeed(child_report):
-    assert child_report["codes"] == [0] * 5
+    assert child_report["codes"] == [0] * 6
 
 
 def test_price_and_greeks_load_neither_numpy_nor_scipy(child_report):
@@ -88,6 +111,16 @@ def test_price_and_greeks_do_not_load_statistics(child_report):
 
 def test_vv_price_loads_neither_numpy_nor_scipy(child_report):
     assert child_report["after_vv_price"] == []
+
+
+def test_mc_check_loads_numpy_not_scipy(child_report):
+    assert child_report["after_mc_check"] == ["numpy"]
+
+
+def test_mc_check_runs_with_scipy_blocked(run_child):
+    proc = run_child(SCIPY_BLOCKED)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "mc-check"
 
 
 def test_every_public_name_resolves(child_report):
