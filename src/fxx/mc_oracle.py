@@ -154,8 +154,7 @@ class _SimulatedChunk:
         dt = env.T / cfg.n_steps
         drift = (env.drift - 0.5 * env.sigma * env.sigma) * dt
         vol = env.sigma * math.sqrt(dt)
-        path = np.empty((n_paths, cfg.n_steps))
-        _rng(cfg, index, _STREAM_PATH).standard_normal(out=path)
+        path = _rng(cfg, index, _STREAM_PATH).standard_normal((n_paths, cfg.n_steps))
         path *= vol
         path += drift
         self.log_path = np.cumsum(path, axis=1, out=path)

@@ -24,7 +24,7 @@ from fxx.vanna_volga import atm_strike, solve_delta_strike
 
 CALL, PUT = OptionDirection.CALL, OptionDirection.PUT
 UP, LOW = BarrierSide.UPPER, BarrierSide.LOWER
-IN, OUT = KnockType.IN, KnockType.OUT
+OUT = KnockType.OUT
 
 
 def report(criterion: str, detail: str) -> None:
