@@ -15,9 +15,11 @@ the diff declares the move:
     python tests/golden/regen.py
 
 Each rewrite prints what moved against the file it replaces: the moved
-records per contract kind and per output, the largest move of each
-output's numbers relative to max(1, |number|), and the outputs whose
-outcome switched between a number and an error.
+records per contract kind and per output, the positions that moved in
+each output (``delta``, ``vega``, ...; ``error`` for a changed error),
+the records whose only change is their warning messages, the largest
+move of each output's numbers relative to max(1, |number|), and the
+outputs whose outcome switched between a number and an error.
 
 The same run rewrites ``mc.json``: ``mc_price_batch`` on the ten contracts
 of acceptance criterion 4 at 2048 paths x 50 steps, with and without the
@@ -160,6 +162,13 @@ def _outcome(fn):
 BOOK_SMILE = PivotQuotes(sigma_atm=0.10, sigma_rr25=-0.015, sigma_bf25=0.002)
 
 
+# The positions of each output's result list, as ``record`` writes them.
+_GREEK_FIELDS = ("value", "delta", "vega", "vanna", "volga", "method", "notices")
+_VV_FIELDS = ("bs_price", "x1", "x2", "x3", "adjustment", "vv_price", "condition")
+FIELDS = {"price": ("price", "rule"), "analytic": _GREEK_FIELDS, "fd": _GREEK_FIELDS,
+          "vv": _VV_FIELDS, "vv_book": _VV_FIELDS}
+
+
 def record(env, spec) -> dict:
     """The outcomes of one draw; ``vv`` quotes a smile at the draw's own
     volatility, ``vv_book`` the book's smile at another one."""
@@ -212,15 +221,26 @@ def _largest_move(got, was) -> float:
                 if isinstance(g, float) and isinstance(w, float)), default=0.0)
 
 
+def _moved_fields(out: str, got, was) -> list:
+    """Names of the positions of ``out`` whose results differ; ["error"]
+    when either result is an error."""
+    if not (isinstance(got, list) and isinstance(was, list)):
+        return ["error"]
+    return [name for name, g, w in zip(FIELDS[out], got, was) if g != w]
+
+
 def moves(old: dict, new: dict) -> list:
     """Lines saying which records of ``new`` differ from ``old``: counts per
-    contract kind (the id's first word) and per output, the largest move
-    of each output's numbers present on both sides, relative to
-    max(1, |number|), and the outputs whose outcome switched between a
-    number and an error, counted per kind and per output for each way."""
+    contract kind (the id's first word) and per output, the moved
+    positions of each output, the outputs whose only change is their
+    warning messages, the largest move of each output's numbers present
+    on both sides, relative to max(1, |number|), and the outputs whose
+    outcome switched between a number and an error, counted per kind and
+    per output for each way."""
     if old.get("cases_sha256") != new["cases_sha256"]:
         return ["the draws changed: every record is new"]
-    by_kind, by_output = Counter(), Counter()
+    by_kind, by_output, warning_only = Counter(), Counter(), Counter()
+    fields = {out: Counter() for out in FIELDS}
     switches = {"number -> error": (Counter(), Counter()),
                 "error -> number": (Counter(), Counter())}
     worst = {}  # output -> (move, case id)
@@ -231,7 +251,11 @@ def moves(old: dict, new: dict) -> list:
         if moved:
             by_kind[kind] += 1
         for out in moved:
+            if rec[out][0] == was[out][0]:
+                warning_only[out] += 1
+                continue
             by_output[out] += 1
+            fields[out].update(_moved_fields(out, rec[out][0], was[out][0]))
             failed = isinstance(rec[out][0], dict)  # {"error": ...}
             if failed != isinstance(was[out][0], dict):
                 kinds, outputs = switches["number -> error" if failed else "error -> number"]
@@ -243,7 +267,10 @@ def moves(old: dict, new: dict) -> list:
     total = sum(by_kind.values())
     lines = [f"{total} of {len(new['records'])} records moved",
              f"  by contract kind: {dict(by_kind)}", f"  by output: {dict(by_output)}"]
-    for out in next(iter(new["records"].values())):
+    for out in FIELDS:
+        lines.append(f"  {out} positions moved: {dict(fields[out]) or 'none'}")
+    lines.append(f"  warning messages only, by output: {dict(warning_only)}")
+    for out in FIELDS:
         move, cid = worst.get(out, (0.0, None))
         lines.append(f"  largest {out} move: {move:.3g} x max(1, |number|)"
                      + (f" ({cid})" if cid else ""))
