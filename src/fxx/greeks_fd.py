@@ -4,15 +4,19 @@ Turns any ``MarketEnvironment -> price`` function into a GreekSet; this
 is the universal numerical oracle the analytic formulas are checked
 against, and the engine of ``fxx.router``'s route for contracts without
 closed-form Greeks, which picks bumps clear of the contract's barriers.
-Each of the nine stencil points is a new ``MarketEnvironment`` built from
-the bumped spot and volatility and the unbumped rates and maturity; its
-validation counts as a failure at that point.
+The stencil has seven points: (S, sigma), (S, sigma +- k) and the four
+corners (S +- h, sigma +- k). Delta comes from the corners, so the spot
+bump is never made at the unbumped volatility; a pricer that fails only
+at (S +- h, sigma) is not reached. Each point is a new
+``MarketEnvironment`` built from the bumped spot and volatility and the
+unbumped rates and maturity; its validation counts as a failure at that
+point.
 """
 
 from dataclasses import dataclass
 from typing import Callable
 
-from .contracts import GreekSet, MarketEnvironment
+from .contracts import GreekSet, MarketEnvironment, _positive
 from .errors import NumericalError, PricingError
 from .vanilla import _greek_set
 
@@ -21,10 +25,15 @@ Pricer = Callable[[MarketEnvironment], float]
 
 @dataclass(frozen=True)
 class FdBumps:
-    """Relative spot bump and absolute volatility bump of the stencil."""
+    """Relative spot bump and absolute volatility bump of the stencil; each
+    must be a positive finite number (``DomainError`` otherwise)."""
 
     dS_rel: float = 1e-4
     dSigma_abs: float = 1e-4
+
+    def __post_init__(self):
+        _positive(self.dS_rel, "dS_rel")
+        _positive(self.dSigma_abs, "dSigma_abs")
 
 
 class StencilEvaluationError(PricingError):
@@ -45,26 +54,28 @@ def _eval(pricer: Pricer, env: MarketEnvironment, spot: float, sigma: float) -> 
 
 def fd_greeks(pricer: Pricer, env: MarketEnvironment,
               bumps: FdBumps = FdBumps()) -> GreekSet:
-    """Second-order central differences on a 3x3 (spot, sigma) stencil.
+    """Second-order central differences on a seven-point (spot, sigma)
+    stencil: the centre, the two volatility bumps and the four corners.
 
-    delta and vega are plain central differences, volga reuses the vega
-    stencil as a second difference, vanna is the four-corner cross
-    difference. A difference that leaves the double range is an
-    arithmetic failure (``NumericalError``).
+    vega is the central difference and volga the second difference of
+    the volatility bumps, vanna the four-corner cross difference. delta
+    is the mean of the central spot differences at sigma + k and
+    sigma - k, ((p_uu - p_du) + (p_ud - p_dd)) / (4h); averaging over
+    the volatility bump adds (k^2 / 2) d3V/dS dsigma^2 to the usual
+    (h^2 / 6) d3V/dS3, so its error is O(h^2 + k^2). A difference that
+    leaves the double range is an arithmetic failure (``NumericalError``).
     """
     S, sig = env.spot, env.sigma
     h = bumps.dS_rel * S
     k = bumps.dSigma_abs
     p00 = _eval(pricer, env, S, sig)
-    p_up = _eval(pricer, env, S + h, sig)
-    p_dn = _eval(pricer, env, S - h, sig)
     p_vu = _eval(pricer, env, S, sig + k)
     p_vd = _eval(pricer, env, S, sig - k)
     p_uu = _eval(pricer, env, S + h, sig + k)
     p_ud = _eval(pricer, env, S + h, sig - k)
     p_du = _eval(pricer, env, S - h, sig + k)
     p_dd = _eval(pricer, env, S - h, sig - k)
-    delta = (p_up - p_dn) / (2.0 * h)
+    delta = ((p_uu - p_du) + (p_ud - p_dd)) / (4.0 * h)
     vega = (p_vu - p_vd) / (2.0 * k)
     volga = (p_vu - 2.0 * p00 + p_vd) / (k * k)
     vanna = (p_uu - p_ud - p_du + p_dd) / (4.0 * h * k)

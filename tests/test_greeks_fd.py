@@ -1,7 +1,13 @@
+import math
+import warnings
+
 import pytest
 
-from fxx import FdBumps, MarketEnvironment, OptionDirection, fd_greeks, gk_greeks, gk_price
+from fxx import (DomainError, FdBumps, MarketEnvironment, OptionDirection, TruncationWarning,
+                 fd_greeks, gk_greeks, gk_price, greeks_contract, price_contract)
 from fxx.greeks_fd import StencilEvaluationError
+from golden import regen
+from support import richardson_fd
 
 ENV = MarketEnvironment(spot=100.0, r_d=0.03, r_f=0.01, sigma=0.2, T=1.0)
 CALL = OptionDirection.CALL
@@ -32,6 +38,14 @@ class TestToyPricers:
         greeks = fd_greeks(lambda e: e.spot * e.sigma, ENV, DYADIC)
         assert greeks.vanna == pytest.approx(1.0, rel=1e-9)
 
+    def test_delta_bias_from_vol_bumped_corners(self):
+        # delta averages the spot differences at sigma +- k, so for S sigma^2
+        # it reads ((sigma + k)^2 + (sigma - k)^2) / 2 = sigma^2 + k^2
+        k = DYADIC.dSigma_abs
+        greeks = fd_greeks(lambda e: e.spot * e.sigma**2, ENV, DYADIC)
+        assert greeks.delta == pytest.approx(ENV.sigma**2 + k * k, rel=1e-10)
+        assert greeks.delta != pytest.approx(ENV.sigma**2, rel=1e-10)
+
     def test_linearity_exact(self):
         p1 = lambda e: 2.0
         p2 = lambda e: 0.5 * e.spot
@@ -39,6 +53,64 @@ class TestToyPricers:
         expected = 2.0 * fd_greeks(p1, ENV, DYADIC) + 3.0 * fd_greeks(p2, ENV, DYADIC)
         for comp in ("value", "delta", "vega", "vanna", "volga"):
             assert abs(getattr(combined, comp) - getattr(expected, comp)) <= 1e-12
+
+
+class TestStencil:
+    def test_prices_seven_points_in_order(self):
+        seen = []
+
+        def pricer(e):
+            seen.append((e.spot, e.sigma))
+            return 1.0
+
+        fd_greeks(pricer, ENV, DYADIC)
+        S, sig = ENV.spot, ENV.sigma
+        h, k = DYADIC.dS_rel * S, DYADIC.dSigma_abs
+        assert seen == [(S, sig), (S, sig + k), (S, sig - k),
+                        (S + h, sig + k), (S + h, sig - k),
+                        (S - h, sig + k), (S - h, sig - k)]
+        assert (S + h, sig) not in seen and (S - h, sig) not in seen
+
+    def test_failure_only_at_unbumped_vol_spot_bumps_not_reached(self):
+        def pricer(e):
+            if e.spot != ENV.spot and e.sigma == ENV.sigma:
+                raise ValueError("boom")
+            return e.spot
+
+        assert fd_greeks(pricer, ENV, DYADIC).delta == 1.0
+
+
+# Over the fingerprint draws the route's worst delta error is 9.3e-6 x
+# max(1, |delta|), at a low-volatility, long-dated corridor knock-in
+# (sigma 0.035, T 5.6), where the volatility bump's (k^2 / 2) d3V/dS dsigma^2
+# term dominates; the bound keeps a margin of about 1.6 over it.
+ROUTE_DELTA_BOUND = 1.5e-5
+
+
+def test_fd_route_delta_against_richardson():
+    # Every fingerprint draw lies further than the default spot bump from
+    # its barriers, so the route's bumps are FdBumps() and the reference
+    # extrapolates the stencil at a quarter and an eighth of them.
+    reference_bumps = FdBumps(FdBumps.dS_rel / 4.0, FdBumps.dSigma_abs / 4.0)
+    worst, kinds, low_vol_long_corridors = 0.0, set(), 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for cid, env, spec in regen.draws():
+            kind = cid.split("-")[0]
+            if kind == "vanilla":
+                continue
+            route, method, _notices = greeks_contract(env, spec, method="fd")
+            assert method == "fd"
+            _value, reference = richardson_fd(lambda e: price_contract(e, spec)[0], env,
+                                              reference_bumps)
+            err = abs(route.delta - reference["delta"]) / max(1.0, abs(reference["delta"]))
+            assert err <= ROUTE_DELTA_BOUND, (cid, err)
+            worst = max(worst, err)
+            kinds.add(kind)
+            low_vol_long_corridors += kind == "corridor" and env.sigma < 0.05 and env.T > 5.0
+    assert kinds == {"single", "corridor", "kiko"}
+    assert low_vol_long_corridors > 0
+    assert worst > 1e-7  # the reference resolves the stencil's bias
 
 
 class TestAgainstClosedForm:
@@ -67,6 +139,12 @@ class TestAgainstClosedForm:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("field", ["dS_rel", "dSigma_abs"])
+    @pytest.mark.parametrize("bad", [0.0, -1e-4, math.nan, math.inf])
+    def test_bad_bump_is_domain_error(self, field, bad):
+        with pytest.raises(DomainError, match=field):
+            FdBumps(**{field: bad})
+
     def test_stencil_failure_carries_diagnostic(self):
         def pricer(env):
             if env.spot > 100.0:
