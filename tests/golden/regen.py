@@ -17,7 +17,7 @@ the diff declares the move:
 Each rewrite prints what moved against the file it replaces: the moved
 records per contract kind and per output, the positions that moved in
 each output (``delta``, ``vega``, ...; ``error`` for a changed error),
-the records whose only change is their warning messages, the largest
+the outputs whose only change is their warning messages, the largest
 move of each output's numbers relative to max(1, |number|), and the
 outputs whose outcome switched between a number and an error.
 
