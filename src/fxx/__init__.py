@@ -20,7 +20,7 @@ from .errors import (ClassificationError, DomainError, IllConditionedError,
                      NumericalError, PreconditionError, PricingError,
                      TruncationWarning)
 from .greeks_fd import FdBumps, fd_greeks
-from .num_core import erf, erfc, std_normal_cdf, std_normal_pdf
+from .num_core import std_normal_cdf, std_normal_pdf
 from .router import greeks_contract, kiki_greeks, kiko_greeks, koko_greeks, price_contract
 from .single_barrier import (AbcdValues, abcd, greeks_abcd, greeks_single_barrier,
                              price_single_barrier)
@@ -47,7 +47,7 @@ __all__ = [
     "PivotSystem", "PreconditionError", "PricingError", "SeriesConfig",
     "SingleBarrierSpec", "TableRow", "TruncationWarning", "VVResult",
     "VanillaSpec", "abcd", "atm_strike", "build_pivot_system", "build_pivots",
-    "classify_single_barrier", "erf", "erfc", "fd_greeks", "gk_greeks",
+    "classify_single_barrier", "fd_greeks", "gk_greeks",
     "gk_price", "greeks_abcd", "greeks_contract", "greeks_single_barrier",
     "inv_std_normal_cdf", "kiki_greeks", "kiki_price", "kiko_greeks",
     "kiko_price", "koko_greeks", "koko_price", "mc_price", "mc_price_batch",

@@ -12,11 +12,9 @@ import argparse
 import dataclasses
 import enum
 import json
-import os
 import sys
 
 from .contracts import DoubleBarrierSpec, KnockType, MarketEnvironment, VanillaSpec
-from .double_barrier import SeriesConfig
 from .errors import NumericalError, PricingError
 from .router import _CONTRACTS, greeks_contract, price_contract
 from .vanilla import d1_d2
@@ -25,8 +23,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
-
-_ENV_NMAX = "FXX_SERIES_NMAX"
 
 
 class RequestError(Exception):
@@ -147,34 +143,25 @@ def parse_quotes(path: str):
                        sigma_bf25=fields.get("bf_25", 0.0))
 
 
-def _series_config() -> SeriesConfig:
-    raw = os.environ.get(_ENV_NMAX)
-    if raw is None:
-        return SeriesConfig()
-    try:
-        return SeriesConfig(n_max=int(raw))
-    except ValueError:
-        raise RequestError(f"{_ENV_NMAX} must be an integer >= 1, got {raw!r}") from None
-
-
 # ------------------------------------------------------------------ commands
 def _cmd_price(args) -> int:
     env, spec = parse_request(args.request)
-    price, rule = price_contract(env, spec, _series_config())
+    price, rule = price_contract(env, spec)
     record = {"command": "price", "contract": type(spec).__name__,
               "rule": rule, "price": price}
     if isinstance(spec, VanillaSpec):
-        d1, d2 = d1_d2(env, spec.strike)
-        record["d1"] = d1
-        record["d2"] = d2
+        record["d1"], record["d2"] = d1_d2(env, spec.strike)
+        if record["d1"] is None:
+            record["warnings"] = [
+                "volatility*sqrt(maturity) is below 1e-12: the price is the forward "
+                "value, and d1 and d2 are undefined"]
     _emit(record)
     return EXIT_OK
 
 
 def _cmd_greeks(args) -> int:
     env, spec = parse_request(args.request)
-    greeks, method, notices = greeks_contract(env, spec, method=args.method,
-                                              series_cfg=_series_config())
+    greeks, method, notices = greeks_contract(env, spec, method=args.method)
     record = {"command": "greeks", "contract": type(spec).__name__,
               "method": method, "value": greeks.value, "delta": greeks.delta,
               "vega": greeks.vega, "vanna": greeks.vanna, "volga": greeks.volga}
@@ -189,7 +176,7 @@ def _cmd_vv_price(args) -> int:
 
     env, spec = parse_request(args.request)
     quotes = parse_quotes(args.quotes)
-    result = vv_price(env, spec, quotes, _series_config())
+    result = vv_price(env, spec, quotes)
     record = {"command": "vv-price", "contract": type(spec).__name__,
               "bs_price": result.bs_price, "x1": result.x1, "x2": result.x2,
               "x3": result.x3, "adjustment": result.adjustment,
@@ -208,7 +195,7 @@ def _cmd_mc_check(args) -> int:
     env, spec = parse_request(args.request)
     cfg = McConfig(n_paths=args.paths, n_steps=args.steps, seed=args.seed,
                    bridge_correction=args.bridge)
-    closed, rule = price_contract(env, spec, _series_config())
+    closed, rule = price_contract(env, spec)
     specs = [spec]
     if isinstance(spec, DoubleBarrierSpec) and spec.knock == KnockType.IN:
         specs += [DoubleBarrierSpec(spec.direction, spec.strike, spec.lower,

@@ -23,7 +23,7 @@ from .errors import (ClassificationError, NumericalError, PreconditionError,
                      TruncationWarning)
 from .num_core import log_ratio
 from .num_core import std_normal_cdf as _N
-from .single_barrier import _LOG_OVERFLOW, _NEGATIVE_CLAMP, price_single_barrier
+from .single_barrier import _LOG_OVERFLOW, _clamp, price_single_barrier
 from .vanilla import _check_scale, _discounts, gk_price
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -40,9 +40,10 @@ class SeriesConfig:
     up to ``n_max`` whose bound on every omitted term lies below 1e-12 in
     price units. When no count up to ``n_max`` passes, the series runs to
     ``n_max`` and warns when the first omitted terms, |n| = n_max + 1,
-    reach that tolerance."""
+    reach that tolerance; at the default cap, 50, only below
+    tau = ln(U/L)^2 / (sigma^2 T) of about 0.005."""
 
-    n_max: int = 5
+    n_max: int = 50
 
     def __post_init__(self):
         if self.n_max < 1:
@@ -282,7 +283,9 @@ def kiko_price(env: MarketEnvironment, spec: KikoSpec,
     option knocked out by touching either barrier. That second leg is the
     knock-out at the in barrier when it is the nearer of two same-side
     barriers, and the corridor knock-out when the barriers straddle spot.
-    A difference in [-1e-10, 0) is round-off and returns 0.0."""
+    The difference ends in the single-barrier clamp: round-off in
+    [-1e-10, 0) returns 0.0, and a value below -1e-10 or not finite raises
+    NumericalError."""
     spec.validate_against(env)
     rule = classify_kiko(spec)
     if rule.endswith("-far"):
@@ -296,5 +299,5 @@ def kiko_price(env: MarketEnvironment, spec: KikoSpec,
         price = knock_out - koko_price(env, DoubleBarrierSpec(
             direction=spec.direction, strike=K, lower=lower, upper=upper,
             knock=KnockType.OUT), cfg)
-    return 0.0 if -_NEGATIVE_CLAMP <= price < 0.0 else price
+    return _clamp(price)
 

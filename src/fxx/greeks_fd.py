@@ -63,7 +63,8 @@ def fd_greeks(pricer: Pricer, env: MarketEnvironment,
     sigma - k, ((p_uu - p_du) + (p_ud - p_dd)) / (4h); averaging over
     the volatility bump adds (k^2 / 2) d3V/dS dsigma^2 to the usual
     (h^2 / 6) d3V/dS3, so its error is O(h^2 + k^2). A difference that
-    leaves the double range is an arithmetic failure (``NumericalError``).
+    leaves the double range, or a bump product that underflows to zero, is
+    an arithmetic failure (``NumericalError``).
     """
     S, sig = env.spot, env.sigma
     h = bumps.dS_rel * S
@@ -75,8 +76,12 @@ def fd_greeks(pricer: Pricer, env: MarketEnvironment,
     p_ud = _eval(pricer, env, S + h, sig - k)
     p_du = _eval(pricer, env, S - h, sig + k)
     p_dd = _eval(pricer, env, S - h, sig - k)
-    delta = ((p_uu - p_du) + (p_ud - p_dd)) / (4.0 * h)
-    vega = (p_vu - p_vd) / (2.0 * k)
-    volga = (p_vu - 2.0 * p00 + p_vd) / (k * k)
-    vanna = (p_uu - p_ud - p_du + p_dd) / (4.0 * h * k)
+    try:
+        delta = ((p_uu - p_du) + (p_ud - p_dd)) / (4.0 * h)
+        vega = (p_vu - p_vd) / (2.0 * k)
+        volga = (p_vu - 2.0 * p00 + p_vd) / (k * k)
+        vanna = (p_uu - p_ud - p_du + p_dd) / (4.0 * h * k)
+    except ZeroDivisionError:
+        raise NumericalError(f"stencil bumps h={h!r}, k={k!r}: a difference's "
+                             "denominator underflows to zero") from None
     return _greek_set((p00, delta, vega, vanna, volga))

@@ -47,14 +47,3 @@ def log_ratio(num: float, den: float) -> float:
         raise NumericalError(f"log({num!r} / {den!r}) leaves the double range; "
                              "the inputs are outside the closed form's numerical range")
     return x
-
-
-def erf(x: float) -> float:
-    """Error function."""
-    return math.erf(_require_finite(x))
-
-
-def erfc(x: float) -> float:
-    """Complementary error function, 1 - erf(x) without tail cancellation."""
-    return math.erfc(_require_finite(x))
-

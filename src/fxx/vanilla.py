@@ -71,7 +71,11 @@ def _d1(env: MarketEnvironment, strike: float, sigma: float, s: float) -> float:
 
 
 def d1_d2(env: MarketEnvironment, strike: float) -> tuple:
+    """(d1, d2) of a vanilla; (None, None) in the forward limit, sigma
+    sqrt(T) below 1e-12, where ``gk_price`` returns the forward value."""
     s = env.sigma * math.sqrt(env.T)
+    if s < _DETERMINISTIC_LIMIT:
+        return None, None
     d1 = _d1(env, strike, env.sigma, s)
     return d1, d1 - s
 

@@ -119,10 +119,6 @@ class VVResult:
     vv_price: float
     condition: float
 
-    @property
-    def weights(self) -> tuple:
-        return (self.x1, self.x2, self.x3)
-
 
 def _pivot_strike(spot: float, log_moneyness: float) -> float:
     """spot * exp(log_moneyness), an arithmetic failure outside (0, inf)."""

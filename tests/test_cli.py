@@ -167,6 +167,30 @@ class TestPrice:
         _, out, _ = run(capsys, "price", write_request(tmp_path, VANILLA))
         assert "8.8273212253521223" in out
 
+    # volatility*sqrt(maturity) underflows to 0, or is subnormal, and d1
+    # divides by it
+    @pytest.mark.parametrize("volatility,maturity", [(1e-300, 1e-300), (1e-160, 1e-300)],
+                             ids=["scale_underflows", "scale_subnormal"])
+    def test_forward_limit_vanilla(self, tmp_path, capsys, volatility, maturity):
+        market = dict(MARKET, volatility=volatility, maturity=maturity)
+        code, out, _ = run(capsys, "price", write_request(tmp_path, VANILLA, market))
+        assert code == 0
+        record = record_of(out)
+        assert record["price"] == 0.0  # spot at the strike, no time to drift
+        assert (record["d1"], record["d2"]) == (None, None)
+        assert any("forward value" in w for w in record["warnings"])
+
+    def test_low_tau_kiko_prices_positive(self, tmp_path, capsys):
+        # the corridor leg needs more than five image terms; with five the
+        # difference was -0.0509
+        contract = {"type": "kiko", "direction": "call", "strike": 80.0,
+                    "in_barrier": 90.0, "in_side": "lower",
+                    "out_barrier": 101.0, "out_side": "upper"}
+        market = dict(MARKET, volatility=0.5, maturity=2.0)
+        code, out, _ = run(capsys, "price", write_request(tmp_path, contract, market))
+        assert code == 0
+        assert record_of(out)["price"] == pytest.approx(0.0037293379, abs=1e-10)
+
 
 class TestGreeks:
     def test_methods_agree(self, tmp_path, capsys):
@@ -207,6 +231,14 @@ class TestGreeks:
         market = dict(MARKET, spot=1.7e308, domestic_rate=0.0, foreign_rate=0.0)
         request = write_request(tmp_path, dict(VANILLA, strike=1.0), market)
         code, out, err = run(capsys, "greeks", request, "--method", "fd")
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"] == "numerical"
+
+    def test_fd_bump_underflow_exits_4(self, tmp_path, capsys):
+        # the volatility bump is half the volatility, and its square is 0.0
+        market = dict(MARKET, volatility=1e-300, maturity=1e-300)
+        code, out, err = run(capsys, "greeks", write_request(tmp_path, VANILLA, market),
+                             "--method", "fd")
         assert (code, out) == (4, "")
         assert json.loads(err)["error"] == "numerical"
 
@@ -356,24 +388,14 @@ class TestMcCheck:
         assert record["parity_mc_price"] == pytest.approx(record["mc_price"], abs=1e-10)
 
 
-class TestSeriesOverride:
-    def test_env_var_changes_truncation(self, tmp_path, capsys, monkeypatch):
-        import warnings
-
+class TestSeriesEnvironment:
+    def test_series_variable_is_ignored(self, tmp_path, capsys, monkeypatch):
+        # a low-tau corridor, whose price a one-term series would move
         contract = {"type": "double_barrier", "direction": "call", "strike": 100.0,
                     "lower_barrier": 95.0, "upper_barrier": 105.0, "knock": "out"}
-        market = dict(MARKET, volatility=0.5)
-        request = write_request(tmp_path, contract, market)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code, full, _ = run(capsys, "price", request)
-            assert code == 0
-            monkeypatch.setenv("FXX_SERIES_NMAX", "1")
-            code, truncated, _ = run(capsys, "price", request)
-            assert code == 0
-        assert full != truncated
-        for bad in ("not-a-number", "0", "-3"):
-            monkeypatch.setenv("FXX_SERIES_NMAX", bad)
-            code, _, err = run(capsys, "price", request)
-            assert code == 2
-            assert "FXX_SERIES_NMAX" in err
+        request = write_request(tmp_path, contract, dict(MARKET, volatility=0.5))
+        code, default, _ = run(capsys, "price", request)
+        assert code == 0
+        for value in ("1", "not-a-number"):
+            monkeypatch.setenv("FXX_SERIES_NMAX", value)
+            assert run(capsys, "price", request) == (0, default, "")

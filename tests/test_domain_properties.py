@@ -5,9 +5,9 @@ prices lie between 0 and the vanilla (a strike at the barrier included),
 a corridor knock-out is worth no more than either single knock-out, a
 KIKO rule id depends on the barriers alone, the value-only prices equal
 the Greek path's values bit for bit,
-and far outside desk ranges a price, Greek set, Vanna-Volga price or
-one-path Monte Carlo estimate of any contract is finite or a typed
-PricingError."""
+and far outside desk ranges a price, Greek set (on either route),
+Vanna-Volga price or one-path Monte Carlo estimate of any contract is
+finite or a typed PricingError."""
 
 import math
 import warnings
@@ -219,11 +219,15 @@ def test_every_failure_is_a_typed_pricing_error(case):
         assert math.isfinite(price)
     except PricingError:
         pass
-    try:
-        greeks, _method, _notices = greeks_contract(env, spec, method="analytic")
-        assert all(map(math.isfinite, greeks.as_tuple()))
-    except PricingError:
-        pass
+    # corridors and KIKO pairs take the fd route under "analytic" already
+    methods = ("analytic", "fd") if isinstance(spec, (VanillaSpec, SingleBarrierSpec)) \
+        else ("analytic",)
+    for method in methods:
+        try:
+            greeks, _method, _notices = greeks_contract(env, spec, method=method)
+            assert all(map(math.isfinite, greeks.as_tuple()))
+        except PricingError:
+            pass
     try:
         result = vv_price(env, spec, PivotQuotes(sigma_atm=env.sigma))
         assert math.isfinite(result.vv_price)

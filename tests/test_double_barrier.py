@@ -12,7 +12,8 @@ from scipy.special import log_ndtr, logsumexp
 
 import fxx.double_barrier as double_barrier
 from fxx import (BarrierSide, DoubleBarrierSpec, FdBumps, KikoSpec, KnockType,
-                 ClassificationError, DomainError, MarketEnvironment, McConfig, OptionDirection,
+                 ClassificationError, DomainError, MarketEnvironment, McConfig, NumericalError,
+                 OptionDirection,
                  PreconditionError, SeriesConfig, TruncationWarning, gk_greeks,
                  gk_price, greeks_contract, greeks_single_barrier, kiki_greeks,
                  kiki_price, kiko_greeks, kiko_price, koko_greeks, koko_price,
@@ -60,7 +61,7 @@ def corridor_density_price(env, strike, lower, upper, phi, n_eigen=600, n_quad=6
 
 class TestSeriesConfig:
     def test_defaults(self):
-        assert SeriesConfig().n_max == 5
+        assert SeriesConfig().n_max == 50
         assert double_barrier._TAIL_TOL == 1e-12
 
     def test_validation(self):
@@ -132,6 +133,15 @@ class TestKnockOutCorridor:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", TruncationWarning)
                 koko_price(env, spec)
+
+    def test_low_tau_converges_at_the_default_cap(self):
+        # tau = ln(105/95)^2 / (0.5^2 * 2) = 0.02: five image terms left
+        # 3.42e-3 with a warning, twenty 2.1e-9
+        env = MarketEnvironment(100.0, 0.03, 0.01, 0.5, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            price = koko_price(env, DoubleBarrierSpec(CALL, 100.0, 95.0, 105.0, OUT))
+        assert 0.0 <= price < 1e-12
 
     def test_payoff_outside_corridor_worthless(self):
         # a call struck at or above U, a put at or below L: no payoff
@@ -380,6 +390,18 @@ class TestInOutPair:
             spec.direction, spec.strike, lower, upper, OUT))
         assert -1e-10 <= knock_out - corridor < 0.0
         assert kiko_price(env, spec) == 0.0
+
+    def test_low_tau_straddle_positive_or_loud(self):
+        env = MarketEnvironment(100.0, 0.03, 0.01, 0.5, 2.0)
+        spec = KikoSpec(CALL, 80.0, 90.0, LOW, 101.0, UP)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            assert kiko_price(env, spec) == pytest.approx(0.0037293379, abs=1e-10)
+            # five image terms leave the corridor leg short by 0.055: the
+            # difference is -0.0509, which is no round-off
+            warnings.simplefilter("ignore", TruncationWarning)
+            with pytest.raises(NumericalError, match="below the negative tolerance"):
+                kiko_price(env, spec, SeriesConfig(n_max=5))
 
     def test_same_side_put_row(self):
         env = MarketEnvironment(100.0, 0.03, 0.01, 0.2, 1.0)

@@ -3,8 +3,8 @@ import warnings
 
 import pytest
 
-from fxx import (DomainError, FdBumps, MarketEnvironment, OptionDirection, TruncationWarning,
-                 fd_greeks, gk_greeks, gk_price, greeks_contract, price_contract)
+from fxx import (DomainError, FdBumps, MarketEnvironment, NumericalError, OptionDirection,
+                 TruncationWarning, fd_greeks, gk_greeks, gk_price, greeks_contract, price_contract)
 from fxx.greeks_fd import StencilEvaluationError
 from golden import regen
 from support import richardson_fd
@@ -142,3 +142,8 @@ class TestErrors:
 
         with pytest.raises(StencilEvaluationError, match=r"spot=100\.01"):
             fd_greeks(pricer, ENV, FdBumps(1e-4, 1e-4))
+
+    def test_underflowing_bump_product_is_numerical_error(self):
+        # k * k is 1e-400, zero in doubles
+        with pytest.raises(NumericalError, match="underflows"):
+            fd_greeks(lambda e: 1.0, ENV, FdBumps(1e-4, 1e-200))
