@@ -220,9 +220,8 @@ def test_every_failure_is_a_typed_pricing_error(case):
     except PricingError:
         pass
     # corridors and KIKO pairs take the fd route under "analytic" already
-    methods = ("analytic", "fd") if isinstance(spec, (VanillaSpec, SingleBarrierSpec)) \
-        else ("analytic",)
-    for method in methods:
+    closed_form = isinstance(spec, (VanillaSpec, SingleBarrierSpec))
+    for method in ("analytic", "fd") if closed_form else ("analytic",):
         try:
             greeks, _method, _notices = greeks_contract(env, spec, method=method)
             assert all(map(math.isfinite, greeks.as_tuple()))
