@@ -2,7 +2,9 @@
 
 Requests and quotes are strict JSON documents (unknown fields rejected);
 results are emitted as line-delimited JSON with every numeric printed at
-17 significant digits so runs can be compared byte for byte.
+17 significant digits so runs can be compared byte for byte. A
+TruncationWarning raised while a command runs goes into its record's
+``warnings``, each distinct message once, not to stderr.
 
 Exit codes: 0 ok, 2 parse error, 3 pricing precondition violated,
 4 numerical failure.
@@ -13,9 +15,10 @@ import dataclasses
 import enum
 import json
 import sys
+import warnings
 
 from .contracts import DoubleBarrierSpec, KnockType, MarketEnvironment, VanillaSpec
-from .errors import NumericalError, PricingError
+from .errors import NumericalError, PricingError, TruncationWarning
 from .router import _CONTRACTS, greeks_contract, price_contract
 from .vanilla import d1_d2
 
@@ -144,7 +147,7 @@ def parse_quotes(path: str):
 
 
 # ------------------------------------------------------------------ commands
-def _cmd_price(args) -> int:
+def _cmd_price(args) -> dict:
     env, spec = parse_request(args.request)
     price, rule = price_contract(env, spec)
     record = {"command": "price", "contract": type(spec).__name__,
@@ -155,11 +158,10 @@ def _cmd_price(args) -> int:
             record["warnings"] = [
                 "volatility*sqrt(maturity) is below 1e-12: the price is the forward "
                 "value, and d1 and d2 are undefined"]
-    _emit(record)
-    return EXIT_OK
+    return record
 
 
-def _cmd_greeks(args) -> int:
+def _cmd_greeks(args) -> dict:
     env, spec = parse_request(args.request)
     greeks, method, notices = greeks_contract(env, spec, method=args.method)
     record = {"command": "greeks", "contract": type(spec).__name__,
@@ -167,11 +169,10 @@ def _cmd_greeks(args) -> int:
               "vega": greeks.vega, "vanna": greeks.vanna, "volga": greeks.volga}
     if notices:
         record["warnings"] = notices
-    _emit(record)
-    return EXIT_OK
+    return record
 
 
-def _cmd_vv_price(args) -> int:
+def _cmd_vv_price(args) -> dict:
     from .vanna_volga import vv_price  # deferred: price and greeks never use it
 
     env, spec = parse_request(args.request)
@@ -185,11 +186,10 @@ def _cmd_vv_price(args) -> int:
         record["warnings"] = [
             f"quoted atm_vol {quotes.sigma_atm!r} overrides the request "
             f"volatility {env.sigma!r} for the flat price and all pivot Greeks"]
-    _emit(record)
-    return EXIT_OK
+    return record
 
 
-def _cmd_mc_check(args) -> int:
+def _cmd_mc_check(args) -> dict:
     from .mc_oracle import McConfig, mc_price_batch  # numpy
 
     env, spec = parse_request(args.request)
@@ -217,8 +217,7 @@ def _cmd_mc_check(args) -> int:
         record["warnings"] = [
             f"the Monte Carlo estimate has zero variance over {args.paths} paths, "
             "so no z-score measures its distance from the closed form"]
-    _emit(record)
-    return EXIT_OK
+    return record
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", TruncationWarning)
+            record = args.fn(args)
     except RequestError as exc:
         _emit({"error": "parse", "message": str(exc)}, stream=sys.stderr)
         return EXIT_PARSE
@@ -268,6 +269,16 @@ def main(argv=None) -> int:
     except PricingError as exc:
         _emit({"error": "precondition", "message": str(exc)}, stream=sys.stderr)
         return EXIT_PRECONDITION
+    truncations = []
+    for w in caught:
+        if issubclass(w.category, TruncationWarning):
+            truncations.append(str(w.message))
+        else:  # any other warning is shown as it would have been
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if truncations:
+        record["warnings"] = record.get("warnings", []) + list(dict.fromkeys(truncations))
+    _emit(record)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -95,8 +95,7 @@ def price_contract(env: MarketEnvironment, spec,
     return entry.price(env, spec, series_cfg), entry.rule(spec)
 
 
-def greeks_contract(env: MarketEnvironment, spec, method: str = "analytic",
-                    series_cfg: SeriesConfig = SeriesConfig()) -> tuple:
+def greeks_contract(env: MarketEnvironment, spec, method: str = "analytic") -> tuple:
     """GreekSet of any supported contract; returns (greeks, method used, notices).
 
     ``method`` is "analytic" or "fd"; contracts without closed forms fall
@@ -115,9 +114,10 @@ def greeks_contract(env: MarketEnvironment, spec, method: str = "analytic",
     if isinstance(spec, DoubleBarrierSpec) and spec.knock == KnockType.IN:
         # the vanilla leg in closed form keeps KIKI + KOKO = vanilla to round-off
         out = replace(spec, knock=KnockType.OUT)
-        knock_out = fd_greeks(lambda e: koko_price(e, out, series_cfg), env, bumps)
+        knock_out = fd_greeks(lambda e: koko_price(e, out), env, bumps)
         return gk_greeks(env, spec.direction, spec.strike) - knock_out, "fd", notices
-    return fd_greeks(lambda e: entry.price(e, spec, series_cfg), env, bumps), "fd", notices
+    cfg = SeriesConfig()  # Greeks difference prices at the library's default cap
+    return fd_greeks(lambda e: entry.price(e, spec, cfg), env, bumps), "fd", notices
 
 
 _MIN_REL_BUMP = 1e-12
@@ -138,23 +138,20 @@ def _stencil_bumps(env: MarketEnvironment, barriers: tuple) -> FdBumps:
     return FdBumps(dS_rel, min(FdBumps.dSigma_abs, 0.5 * env.sigma))
 
 
-def koko_greeks(env: MarketEnvironment, spec: DoubleBarrierSpec,
-                cfg: SeriesConfig = SeriesConfig()) -> GreekSet:
+def koko_greeks(env: MarketEnvironment, spec: DoubleBarrierSpec) -> GreekSet:
     """Finite-difference Greeks of the double knock-out."""
     if spec.knock != KnockType.OUT:
         raise PreconditionError("koko_greeks expects a knock-out corridor spec")
-    return greeks_contract(env, spec, "fd", cfg)[0]
+    return greeks_contract(env, spec, "fd")[0]
 
 
-def kiki_greeks(env: MarketEnvironment, spec: DoubleBarrierSpec,
-                cfg: SeriesConfig = SeriesConfig()) -> GreekSet:
+def kiki_greeks(env: MarketEnvironment, spec: DoubleBarrierSpec) -> GreekSet:
     """Double knock-in Greeks from parity with the vanilla closed form."""
     if spec.knock != KnockType.IN:
         raise PreconditionError("kiki_greeks expects a knock-in corridor spec")
-    return greeks_contract(env, spec, "fd", cfg)[0]
+    return greeks_contract(env, spec, "fd")[0]
 
 
-def kiko_greeks(env: MarketEnvironment, spec: KikoSpec,
-                cfg: SeriesConfig = SeriesConfig()) -> GreekSet:
+def kiko_greeks(env: MarketEnvironment, spec: KikoSpec) -> GreekSet:
     """Finite-difference Greeks of the replicated in/out pair."""
-    return greeks_contract(env, spec, "fd", cfg)[0]
+    return greeks_contract(env, spec, "fd")[0]

@@ -16,30 +16,18 @@ with the row coefficients the prices use; prices never compute them. A
 """
 
 import math
-from dataclasses import dataclass
 
 from .contracts import (BarrierSide, GreekSet, MarketEnvironment, OptionDirection,
                         SingleBarrierSpec, classify_single_barrier)
 from .errors import DomainError, NumericalError
 from .num_core import log_ratio
-from .vanilla import (_check_scale, _direct_greeks, _discounts, _finite, _greek_set,
-                      _out_of_range, _value)
+from .vanilla import (_check_scale, _direct_greeks, _discounts, _greek_set, _out_of_range,
+                      _value)
 
 _NEGATIVE_CLAMP = 1e-10
 # largest exponent of a barrier power: leaves room for the spot/strike
 # factors before the double range ends
 _LOG_OVERFLOW = 690.0
-
-
-@dataclass(frozen=True)
-class AbcdValues:
-    """Values of the four decomposition parameters plus the reflection exponent."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-    alpha: float
 
 
 def _setup(env: MarketEnvironment, strike: float, barrier: float) -> tuple:
@@ -99,22 +87,13 @@ def _greeks(env: MarketEnvironment, phi: int, eta: int, strike: float,
             _direct_greeks(S, sig, phi, strike, s, F, D, xb), reflected(xc), reflected(xd))
 
 
-def abcd(env: MarketEnvironment, phi: OptionDirection, eta: BarrierSide,
-         strike: float, barrier: float) -> AbcdValues:
-    """Raw decomposition parameters for one (direction, side, K, B) tuple.
+def greeks_abcd(env: MarketEnvironment, phi: OptionDirection, eta: BarrierSide,
+                strike: float, barrier: float) -> tuple:
+    """GreekSets of the four decomposition parameters, in (A, B, C, D) order.
 
     This is the bare kernel: the barrier may sit anywhere relative to
     spot, breach checks belong to the spec types.
     """
-    if strike <= 0.0 or barrier <= 0.0:
-        raise DomainError("strike and barrier must be positive")
-    alpha = (env.r_d - env.r_f - 0.5 * env.sigma * env.sigma) / (env.sigma * env.sigma)
-    return AbcdValues(*_finite(_values(env, int(phi), int(eta), strike, barrier)), alpha)
-
-
-def greeks_abcd(env: MarketEnvironment, phi: OptionDirection, eta: BarrierSide,
-                strike: float, barrier: float) -> tuple:
-    """GreekSets of the four decomposition parameters, in (A, B, C, D) order."""
     if strike <= 0.0 or barrier <= 0.0:
         raise DomainError("strike and barrier must be positive")
     return tuple(map(_greek_set, _greeks(env, int(phi), int(eta), strike, barrier)))

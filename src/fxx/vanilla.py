@@ -34,8 +34,8 @@ def _check_scale(sigma: float, T: float) -> float:
     s = sigma * math.sqrt(T)
     if s < _MIN_SIG_SQRT_T:
         raise DomainError(
-            f"sigma*sqrt(T)={s!r} below {_MIN_SIG_SQRT_T}; barrier kernels need "
-            "a non-degenerate diffusion scale")
+            f"sigma*sqrt(T)={s!r} below {_MIN_SIG_SQRT_T}; the closed-form kernels "
+            "need a non-degenerate diffusion scale")
     return s
 
 

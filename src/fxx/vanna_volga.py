@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 from .contracts import GreekSet, MarketEnvironment, OptionDirection
-from .double_barrier import SeriesConfig
 from .errors import DomainError, IllConditionedError
 from .router import greeks_contract
 from .vanilla import _check_scale, _discounts, _gk, _gk_greeks, _out_of_range
@@ -269,8 +268,7 @@ def vv_adjustment(weights: tuple, system: PivotSystem) -> tuple:
     return x_atm, x_rr, x_bf, adjustment
 
 
-def vv_price(env: MarketEnvironment, spec, quotes: PivotQuotes,
-             series_cfg: SeriesConfig = SeriesConfig()) -> VVResult:
+def vv_price(env: MarketEnvironment, spec, quotes: PivotQuotes) -> VVResult:
     """Market-adjusted price of any contract this library prices.
 
     The flat price and its Greeks are evaluated at ``quotes.sigma_atm``
@@ -280,8 +278,7 @@ def vv_price(env: MarketEnvironment, spec, quotes: PivotQuotes,
     ``price_contract`` does, so the contract is priced once.
     """
     env_atm = replace(env, sigma=quotes.sigma_atm)
-    target, _method, _notes = greeks_contract(env_atm, spec, method="analytic",
-                                              series_cfg=series_cfg)
+    target, _method, _notes = greeks_contract(env_atm, spec, method="analytic")
     bs_price = target.value
     pivots = build_pivots(env_atm, quotes)
     system = build_pivot_system(env_atm, pivots)

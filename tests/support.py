@@ -10,7 +10,7 @@ import numpy as np
 from fxx import (BarrierSide, DoubleBarrierSpec, FdBumps, IllConditionedError, KikoSpec,
                  KnockType, MarketEnvironment, OptionDirection, SingleBarrierSpec,
                  VanillaSpec, fd_greeks, gk_greeks, gk_price)
-from fxx.single_barrier import abcd, greeks_abcd
+from fxx.single_barrier import greeks_abcd
 from fxx.vanna_volga import _MAX_CONDITION, _inverse, _norm1
 
 EPS = 2.220446049250313e-16
@@ -134,8 +134,7 @@ def compare_parameter_greeks(env, direction, side, strike, barrier):
     worst = 0.0
     for idx in range(4):
         def leg_price(e, idx=idx):
-            vals = abcd(e, direction, side, strike, barrier)
-            return (vals.a, vals.b, vals.c, vals.d)[idx]
+            return greeks_abcd(e, direction, side, strike, barrier)[idx].value
 
         p00, fd = richardson_fd(leg_price, env, bumps)
         floors = fd_noise_floors(p00, env, bumps)

@@ -287,6 +287,46 @@ class TestGreeks:
         assert (code, out) == (3, "")
         assert "diffusion scale" in err
 
+    @pytest.mark.parametrize("command,scale", [("greeks", 1e-300), ("vv-price", 3e-151)])
+    def test_degenerate_vanilla_scale_exits_3(self, tmp_path, capsys, command, scale):
+        market = dict(MARKET, volatility=scale, maturity=scale)
+        argv = [command, write_request(tmp_path, VANILLA, market)]
+        if command == "vv-price":
+            argv.append(write_quotes(tmp_path, atm=scale))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "diffusion scale" in err
+        assert "barrier" not in err
+
+
+class TestTruncationWarnings:
+    # barriers 1% either side of spot: tau below 0.005, so the 50-term
+    # series warns at every stencil point
+    REQUEST = {"type": "double_barrier", "direction": "call", "strike": 100.0,
+               "lower_barrier": 99.0, "upper_barrier": 101.0, "knock": "out"}
+    LOW_TAU = dict(MARKET, volatility=0.3)
+
+    @pytest.mark.parametrize("command", ["price", "greeks", "vv-price"])
+    def test_recorded_once_each(self, tmp_path, capsys, command):
+        argv = [command, write_request(tmp_path, self.REQUEST, self.LOW_TAU)]
+        if command == "vv-price":
+            argv.append(write_quotes(tmp_path, atm=0.3))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        notes = record_of(out)["warnings"]
+        truncations = [w for w in notes if "first omitted series terms" in w]
+        assert truncations and len(set(truncations)) == len(truncations)
+        # after the record's own entries
+        assert notes[len(notes) - len(truncations):] == truncations
+        if command == "greeks":
+            assert "finite differences used" in notes[0]
+
+    def test_other_requests_record_none(self, tmp_path, capsys):
+        contract = dict(self.REQUEST, lower_barrier=85.0, upper_barrier=115.0)
+        code, out, err = run(capsys, "price", write_request(tmp_path, contract))
+        assert (code, err) == (0, "")
+        assert "warnings" not in record_of(out)
+
 
 class TestVvPrice:
     def test_flat_smile(self, tmp_path, capsys):

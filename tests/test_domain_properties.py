@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 
 from fxx import (BarrierSide, DoubleBarrierSpec, KikoSpec, KnockType,
                  MarketEnvironment, McConfig, OptionDirection, PivotQuotes, PricingError,
-                 SingleBarrierSpec, TruncationWarning, VanillaSpec, abcd, gk_greeks,
-                 gk_price, greeks_abcd, greeks_contract, greeks_single_barrier,
+                 SingleBarrierSpec, TruncationWarning, VanillaSpec, gk_greeks,
+                 gk_price, greeks_contract, greeks_single_barrier,
                  kiki_price, koko_price, mc_price, price_contract, price_single_barrier,
                  vv_price)
 from fxx.double_barrier import classify_kiko
+from fxx.single_barrier import _values, greeks_abcd
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -157,9 +158,9 @@ def test_value_path_equals_greek_path(case, at_barrier):
     if at_barrier:  # singles never draws K = B exactly
         spec = replace(spec, strike=spec.barrier)
     assert price_single_barrier(env, spec) == greeks_single_barrier(env, spec).value
-    vals = abcd(env, spec.direction, spec.side, spec.strike, spec.barrier)
+    vals = _values(env, int(spec.direction), int(spec.side), spec.strike, spec.barrier)
     sets = greeks_abcd(env, spec.direction, spec.side, spec.strike, spec.barrier)
-    assert (vals.a, vals.b, vals.c, vals.d) == tuple(g.value for g in sets)
+    assert vals == tuple(g.value for g in sets)
     assert gk_price(env, spec.direction, spec.strike) == \
         gk_greeks(env, spec.direction, spec.strike).value
 
@@ -210,9 +211,11 @@ def extreme_contracts(draw):
 
 
 @settings(PROPERTY, max_examples=1000)
-@given(extreme_contracts())
+@given(extreme_contracts(), st.floats(-0.5, 0.5), st.floats(0.0, 0.2))
 @pytest.mark.filterwarnings("ignore::fxx.errors.TruncationWarning")
-def test_every_failure_is_a_typed_pricing_error(case):
+def test_every_failure_is_a_typed_pricing_error(case, rr, bf):
+    """rr and bf are the smile's risk reversal and butterfly in units of
+    sigma: a nonzero one sends Vanna-Volga through the market-vol gaps."""
     env, spec = case
     try:
         price, _rule = price_contract(env, spec)
@@ -228,7 +231,8 @@ def test_every_failure_is_a_typed_pricing_error(case):
         except PricingError:
             pass
     try:
-        result = vv_price(env, spec, PivotQuotes(sigma_atm=env.sigma))
+        quotes = PivotQuotes(env.sigma, rr * env.sigma, bf * env.sigma)
+        result = vv_price(env, spec, quotes)
         assert math.isfinite(result.vv_price)
     except PricingError:
         pass

@@ -4,7 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from fxx import DomainError, inv_std_normal_cdf, std_normal_cdf, std_normal_pdf
+from fxx import DomainError, std_normal_cdf
+from fxx.num_core import std_normal_pdf
+from fxx.vanna_volga import inv_std_normal_cdf
 
 # Reference values computed with 40-digit quadrature of the density.
 CDF_TABLE = {

@@ -9,10 +9,10 @@ from test_domain_properties import directions, distances, markets, moneyness
 
 from fxx import (BarrierSide, DomainError, KnockType, MarketEnvironment,
                  McConfig, NumericalError, OptionDirection, PreconditionError,
-                 SingleBarrierSpec, gk_greeks, gk_price, greeks_abcd,
+                 SingleBarrierSpec, gk_greeks, gk_price,
                  greeks_single_barrier, mc_price, price_single_barrier)
 from fxx.num_core import std_normal_cdf
-from fxx.single_barrier import abcd
+from fxx.single_barrier import greeks_abcd
 
 CALL, PUT = OptionDirection.CALL, OptionDirection.PUT
 UP, LOW = BarrierSide.UPPER, BarrierSide.LOWER
@@ -23,31 +23,28 @@ ENV = MarketEnvironment(spot=100.0, r_d=0.03, r_f=0.01, sigma=0.2, T=1.0)
 
 class TestAbcd:
     def test_first_parameter_is_vanilla(self):
-        vals = abcd(ENV, CALL, LOW, 100.0, 95.0)
-        assert abs(vals.a - gk_price(ENV, CALL, 100.0)) <= 1e-12
-
-    def test_alpha_exact(self):
-        vals = abcd(ENV, CALL, LOW, 100.0, 95.0)
-        assert vals.alpha == (ENV.r_d - ENV.r_f - 0.5 * ENV.sigma**2) / ENV.sigma**2
+        vals = greeks_abcd(ENV, CALL, LOW, 100.0, 95.0)
+        assert abs(vals[0].value - gk_price(ENV, CALL, 100.0)) <= 1e-12
 
     def test_barrier_at_spot_raw_kernel(self):
         # bare kernel accepts barrier == spot; its log argument collapses
-        vals = abcd(ENV, CALL, LOW, 100.0, 100.0)
+        vals = greeks_abcd(ENV, CALL, LOW, 100.0, 100.0)
         s = ENV.sigma * math.sqrt(ENV.T)
-        x2 = (1.0 + vals.alpha) * s
+        alpha = (ENV.r_d - ENV.r_f - 0.5 * ENV.sigma**2) / ENV.sigma**2
+        x2 = (1.0 + alpha) * s
         expected = (100.0 * math.exp(-0.01) * std_normal_cdf(x2)
                     - 100.0 * math.exp(-0.03) * std_normal_cdf(x2 - s))
-        assert vals.b == pytest.approx(expected, abs=1e-14)
+        assert vals[1].value == pytest.approx(expected, abs=1e-14)
 
     def test_fourth_parameter_reference_value(self):
         # frozen from an independent 50-digit evaluation of the reflected kernel
-        vals = abcd(ENV, CALL, LOW, 100.0, 95.0)
-        assert vals.d == pytest.approx(3.9633326676406884, abs=1e-12)
+        vals = greeks_abcd(ENV, CALL, LOW, 100.0, 95.0)
+        assert vals[3].value == pytest.approx(3.9633326676406884, abs=1e-12)
 
     def test_overflow_diagnostic(self):
         env = MarketEnvironment(spot=100.0, r_d=0.08, r_f=-0.02, sigma=0.01, T=1.0)
         with pytest.raises(NumericalError, match="overflow"):
-            abcd(env, CALL, LOW, 100.0, 20.0)
+            greeks_abcd(env, CALL, LOW, 100.0, 20.0)
 
     def test_reflected_term_beyond_double_range(self):
         # P = (B/S)^(g-1) = 10^290 passes the power guard, but times the
@@ -59,12 +56,12 @@ class TestAbcd:
                 with pytest.raises(NumericalError, match="double range"):
                     pricer(env, spec)
         with pytest.raises(NumericalError, match="double range"):
-            abcd(env, PUT, UP, 1e20, 10.0)
+            greeks_abcd(env, PUT, UP, 1e20, 10.0)
 
     def test_degenerate_diffusion_rejected(self):
         env = MarketEnvironment(spot=100.0, r_d=0.03, r_f=0.01, sigma=1e-9, T=1e-4)
         with pytest.raises(DomainError):
-            abcd(env, CALL, LOW, 100.0, 95.0)
+            greeks_abcd(env, CALL, LOW, 100.0, 95.0)
 
 
 class TestPrice:

@@ -7,12 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fxx import (DomainError, DoubleBarrierSpec, GreekSet, IllConditionedError, KikoSpec,
-                 MarketEnvironment, OptionDirection, Pivot, PivotQuotes, PivotSet,
+                 MarketEnvironment, OptionDirection, PivotQuotes,
                  SingleBarrierSpec, BarrierSide, KnockType, VanillaSpec,
-                 atm_strike, build_pivot_system, build_pivots,
-                 gk_greeks, gk_price, price_contract, solve_delta_strike, vv_price,
-                 vv_weights)
-from fxx.vanna_volga import _inverse, vv_adjustment
+                 build_pivot_system, build_pivots,
+                 gk_greeks, gk_price, price_contract, vv_price, vv_weights)
+from fxx.vanna_volga import (Pivot, PivotSet, _inverse, atm_strike, solve_delta_strike,
+                             vv_adjustment)
 from test_domain_properties import (_log_uniform, corridors, directions, distances,
                                     extreme_markets, extreme_ratios, markets, moneyness,
                                     singles)
