@@ -4,7 +4,8 @@ Requests and quotes are strict JSON documents (unknown fields rejected);
 results are emitted as line-delimited JSON with every numeric printed at
 17 significant digits so runs can be compared byte for byte. A
 TruncationWarning raised while a command runs goes into its record's
-``warnings``, each distinct message once, not to stderr.
+``warnings``, each distinct message once, not to stderr. A ``vv-price``
+record whose adjusted price is below zero says so in ``warnings`` too.
 
 Exit codes: 0 ok, 2 parse error, 3 pricing precondition violated,
 4 numerical failure.
@@ -186,6 +187,10 @@ def _cmd_vv_price(args) -> dict:
         record["warnings"] = [
             f"quoted atm_vol {quotes.sigma_atm!r} overrides the request "
             f"volatility {env.sigma!r} for the flat price and all pivot Greeks"]
+    if result.vv_price < 0.0:
+        record.setdefault("warnings", []).append(
+            f"the adjustment {result.adjustment!r} exceeds the flat price "
+            f"{result.bs_price!r}: the Vanna-Volga price is negative")
     return record
 
 

@@ -144,13 +144,14 @@ class KikoSpec:
 
 def _require_unbreached(spot: float, barrier: float, side: BarrierSide,
                         label: str = "") -> None:
-    tag = f"{label} " if label else ""
     if side == BarrierSide.UPPER and spot >= barrier:
-        raise PreconditionError(
-            f"{tag}upper barrier {barrier} already breached by spot {spot}")
-    if side == BarrierSide.LOWER and spot <= barrier:
-        raise PreconditionError(
-            f"{tag}lower barrier {barrier} already breached by spot {spot}")
+        where = "upper"
+    elif side == BarrierSide.LOWER and spot <= barrier:
+        where = "lower"
+    else:
+        return
+    tag = f"{label} " if label else ""  # built only for the message
+    raise PreconditionError(f"{tag}{where} barrier {barrier} already breached by spot {spot}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Double-barrier pricing: corridor knock-outs via a truncated image
-series, double knock-ins via parity, mixed in/out pairs via replication.
+series, double knock-ins via parity, mixed in/out pairs via replication
+from table-row single knock-outs and the corridor knock-out.
 
 The knock-out call/put series (Ikeda & Kunitomo, 1992) sums
 reflected-image terms indexed by ``n``. Each call sums n = -m..m for the
@@ -17,13 +18,13 @@ import sys
 import warnings
 from dataclasses import dataclass, replace
 
-from .contracts import (BarrierSide, DoubleBarrierSpec, KikoSpec, KnockType,
-                        MarketEnvironment, OptionDirection, SingleBarrierSpec)
+from .contracts import (_TABLE, BarrierSide, DoubleBarrierSpec, KikoSpec, KnockType,
+                        MarketEnvironment, OptionDirection)
 from .errors import (ClassificationError, NumericalError, PreconditionError,
                      TruncationWarning)
 from .num_core import log_ratio
 from .num_core import std_normal_cdf as _N
-from .single_barrier import _LOG_OVERFLOW, _clamp, price_single_barrier
+from .single_barrier import _LOG_OVERFLOW, _clamp, _row_price
 from .vanilla import _check_scale, _discounts, gk_price
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -244,13 +245,6 @@ def kiki_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
     return gk_price(env, spec.direction, spec.strike) - koko_price(env, out_spec, cfg)
 
 
-def _single_ko(env: MarketEnvironment, direction: OptionDirection, strike: float,
-               barrier: float, side: BarrierSide) -> float:
-    return price_single_barrier(env, SingleBarrierSpec(
-        direction=direction, strike=strike, barrier=barrier,
-        side=side, knock=KnockType.OUT))
-
-
 def classify_kiko(spec: KikoSpec) -> str:
     """Rule identifier of a KIKO spec, read from its barrier sides and order.
 
@@ -285,15 +279,19 @@ def kiko_price(env: MarketEnvironment, spec: KikoSpec,
     barriers, and the corridor knock-out when the barriers straddle spot.
     The difference ends in the single-barrier clamp: round-off in
     [-1e-10, 0) returns 0.0, and a value below -1e-10 or not finite raises
-    NumericalError."""
+    NumericalError. Each single-barrier leg is priced from its table row and
+    clamped, as by ``price_single_barrier``; the spec's own checks keep both
+    levels positive and unbreached, so no leg spec is built."""
     spec.validate_against(env)
     rule = classify_kiko(spec)
     if rule.endswith("-far"):
         return 0.0  # every path reaching the in barrier crosses the out barrier first
     K = spec.strike
-    knock_out = _single_ko(env, spec.direction, K, spec.barrier_out, spec.side_out)
+    row = _TABLE[spec.direction, spec.side_out, KnockType.OUT, K > spec.barrier_out]
+    knock_out = _row_price(env, row, K, spec.barrier_out)
     if rule.endswith("-near"):
-        price = knock_out - _single_ko(env, spec.direction, K, spec.barrier_in, spec.side_in)
+        row = _TABLE[spec.direction, spec.side_in, KnockType.OUT, K > spec.barrier_in]
+        price = knock_out - _row_price(env, row, K, spec.barrier_in)
     else:
         lower, upper = sorted((spec.barrier_in, spec.barrier_out))
         price = knock_out - koko_price(env, DoubleBarrierSpec(

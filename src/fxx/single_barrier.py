@@ -18,7 +18,7 @@ with the row coefficients the prices use; prices never compute them. A
 import math
 
 from .contracts import (BarrierSide, GreekSet, MarketEnvironment, OptionDirection,
-                        SingleBarrierSpec, classify_single_barrier)
+                        SingleBarrierSpec, TableRow, classify_single_barrier)
 from .errors import DomainError, NumericalError
 from .num_core import log_ratio
 from .vanilla import (_check_scale, _direct_greeks, _discounts, _greek_set, _out_of_range,
@@ -109,11 +109,15 @@ def _clamp(price: float) -> float:
     return max(price, 0.0)  # round-off below zero is zero
 
 
+def _row_price(env: MarketEnvironment, row: TableRow, strike: float, barrier: float) -> float:
+    """Clamped price of a table row's recipe at an unbreached barrier."""
+    return _clamp(row.combine(*_values(env, row.phi, row.eta, strike, barrier)))
+
+
 def price_single_barrier(env: MarketEnvironment, spec: SingleBarrierSpec) -> float:
     """Price one single-barrier option from its table-row recipe."""
     spec.validate_against(env)
-    row = classify_single_barrier(spec)
-    return _clamp(row.combine(*_values(env, row.phi, row.eta, spec.strike, spec.barrier)))
+    return _row_price(env, classify_single_barrier(spec), spec.strike, spec.barrier)
 
 
 def greeks_single_barrier(env: MarketEnvironment, spec: SingleBarrierSpec) -> GreekSet:

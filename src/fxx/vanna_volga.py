@@ -6,10 +6,11 @@ the pivot volatility. A 3x3 system matches the contract's vega, vanna
 and volga with a portfolio of the pivot options, and the adjustment is
 the portfolio-weighted market-versus-flat cost, which collapses to the
 risk-reversal and butterfly legs because the straddle leg carries no
-market-versus-flat gap. The 3x3 algebra is plain Python: one adjugate
-inverse, kept on the ``PivotSystem``, gives the condition estimate, the
-solve and its refinement step. The delta-strike solve takes its normal
-quantile from the standard library's ``statistics.NormalDist``.
+market-versus-flat gap. The 3x3 algebra is plain Python, written out
+entry by entry: one adjugate inverse, kept on the ``PivotSystem``, gives
+the condition estimate, the solve and its refinement step. The
+delta-strike solve takes its normal quantile from the standard library's
+``statistics.NormalDist``.
 
 All pivot quantities (strikes, Greeks, flat prices) are evaluated at the
 pivot at-the-money volatility, which overrides the volatility carried by
@@ -179,22 +180,20 @@ def _inverse(m: tuple) -> tuple:
     """Inverse of a 3x3 matrix from its adjugate (transposed cofactors)
     over the determinant."""
     (a, b, c), (d, e, f), (g, h, i) = m
-    adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
-           (f * g - d * i, a * i - c * g, c * d - a * f),
-           (d * h - e * g, b * g - a * h, a * e - b * d))
-    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    j00, j01, j02 = e * i - f * h, c * h - b * i, b * f - c * e
+    j10, j11, j12 = f * g - d * i, a * i - c * g, c * d - a * f
+    j20, j21, j22 = d * h - e * g, b * g - a * h, a * e - b * d
+    det = a * j00 + b * j10 + c * j20
     if det == 0.0 or not math.isfinite(det):
         raise IllConditionedError(f"pivot system is singular: determinant {det!r}")
-    return tuple(tuple(v / det for v in row) for row in adj)
-
-
-def _apply(m: tuple, v: tuple) -> tuple:
-    return tuple(row[0] * v[0] + row[1] * v[1] + row[2] * v[2] for row in m)
+    return ((j00 / det, j01 / det, j02 / det), (j10 / det, j11 / det, j12 / det),
+            (j20 / det, j21 / det, j22 / det))
 
 
 def _norm1(m: tuple) -> float:
     """Largest absolute column sum."""
-    return max(abs(a) + abs(b) + abs(c) for a, b, c in zip(*m))
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return max(abs(a) + abs(d) + abs(g), abs(b) + abs(e) + abs(h), abs(c) + abs(f) + abs(i))
 
 
 def build_pivot_system(env: MarketEnvironment, pivots: PivotSet) -> PivotSystem:
@@ -233,20 +232,28 @@ def build_pivot_system(env: MarketEnvironment, pivots: PivotSet) -> PivotSystem:
 def vv_weights(target: GreekSet, system: PivotSystem) -> tuple:
     """Hedge weights on the pivot columns matching the target's vega,
     vanna and volga: the system's adjugate inverse applied to the target,
-    plus one step of iterative refinement with the same inverse."""
-    rhs = (target.vega, target.vanna, target.volga)
-    inv = system.inverse
-
-    def residual(x):
-        return tuple(t - v for t, v in zip(rhs, _apply(system.matrix, x)))
-
-    x = _apply(inv, rhs)
-    x = tuple(u + v for u, v in zip(x, _apply(inv, residual(x))))
-    error, scale = math.hypot(*residual(x)), math.hypot(*rhs)
+    plus one step of iterative refinement with the same inverse; each row
+    product sums left to right."""
+    b0, b1, b2 = target.vega, target.vanna, target.volga
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = system.matrix
+    (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = system.inverse
+    x0 = i00 * b0 + i01 * b1 + i02 * b2
+    x1 = i10 * b0 + i11 * b1 + i12 * b2
+    x2 = i20 * b0 + i21 * b1 + i22 * b2
+    r0 = b0 - (a00 * x0 + a01 * x1 + a02 * x2)
+    r1 = b1 - (a10 * x0 + a11 * x1 + a12 * x2)
+    r2 = b2 - (a20 * x0 + a21 * x1 + a22 * x2)
+    x0 += i00 * r0 + i01 * r1 + i02 * r2
+    x1 += i10 * r0 + i11 * r1 + i12 * r2
+    x2 += i20 * r0 + i21 * r1 + i22 * r2
+    error = math.hypot(b0 - (a00 * x0 + a01 * x1 + a02 * x2),
+                       b1 - (a10 * x0 + a11 * x1 + a12 * x2),
+                       b2 - (a20 * x0 + a21 * x1 + a22 * x2))
+    scale = math.hypot(b0, b1, b2)
     if scale > 0.0 and error > 1e-10 * scale:
         raise IllConditionedError(
             f"pivot solve residual {error:.3e} too large versus rhs norm {scale:.3e}")
-    return x
+    return x0, x1, x2
 
 
 def vv_adjustment(weights: tuple, system: PivotSystem) -> tuple:
@@ -277,7 +284,7 @@ def vv_price(env: MarketEnvironment, spec, quotes: PivotQuotes) -> VVResult:
     set's value, which every route computes bit for bit as
     ``price_contract`` does, so the contract is priced once.
     """
-    env_atm = replace(env, sigma=quotes.sigma_atm)
+    env_atm = MarketEnvironment(env.spot, env.r_d, env.r_f, quotes.sigma_atm, env.T)
     target, _method, _notes = greeks_contract(env_atm, spec, method="analytic")
     bs_price = target.value
     pivots = build_pivots(env_atm, quotes)

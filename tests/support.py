@@ -11,7 +11,7 @@ from fxx import (BarrierSide, DoubleBarrierSpec, FdBumps, IllConditionedError, K
                  KnockType, MarketEnvironment, OptionDirection, SingleBarrierSpec,
                  VanillaSpec, fd_greeks, gk_greeks, gk_price)
 from fxx.single_barrier import greeks_abcd
-from fxx.vanna_volga import _MAX_CONDITION, _inverse, _norm1
+from fxx.vanna_volga import _MAX_CONDITION
 
 EPS = 2.220446049250313e-16
 
@@ -258,11 +258,39 @@ def corridor_series_oracle(env: MarketEnvironment, spec, m: int, dps: int = 60) 
         return float(price if call else -price)
 
 
+def outcome(fn):
+    """repr of the result, or the type and message of what it raised."""
+    try:
+        return repr(fn())
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def reference_inverse(m: tuple) -> tuple:
+    """Inverse of a 3x3 matrix from its adjugate over the determinant, in
+    tuple algebra: the adjugate as rows of cofactors, each divided by the
+    determinant in a generator."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
+           (f * g - d * i, a * i - c * g, c * d - a * f),
+           (d * h - e * g, b * g - a * h, a * e - b * d))
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    if det == 0.0 or not math.isfinite(det):
+        raise IllConditionedError(f"pivot system is singular: determinant {det!r}")
+    return tuple(tuple(v / det for v in row) for row in adj)
+
+
+def reference_norm1(m: tuple) -> float:
+    """Largest absolute column sum, over the zipped columns."""
+    return max(abs(a) + abs(b) + abs(c) for a, b, c in zip(*m))
+
+
 def reference_pivot_system(env: MarketEnvironment, pivots) -> tuple:
     """(matrix, gaps, condition) of ``build_pivot_system`` built from the
     public vanilla functions: one environment copy per pivot volatility,
     ``gk_greeks`` for each column and ``gk_price`` at the market vol minus
-    ``gk_price`` at the flat vol for every gap, the ATM leg's included."""
+    ``gk_price`` at the flat vol for every gap, the ATM leg's included,
+    and the condition estimate from the tuple-algebra inverse and norm."""
     columns, gaps = [], []
     for pivot in pivots:
         env_flat = replace(env, sigma=pivot.bs_vol)
@@ -272,12 +300,35 @@ def reference_pivot_system(env: MarketEnvironment, pivots) -> tuple:
         gaps.append(gk_price(env_mkt, pivot.direction, pivot.strike)
                     - gk_price(env_flat, pivot.direction, pivot.strike))
     matrix = tuple(zip(*columns))
-    condition = _norm1(matrix) * _norm1(_inverse(matrix))
+    condition = reference_norm1(matrix) * reference_norm1(reference_inverse(matrix))
     if not math.isfinite(condition) or condition > _MAX_CONDITION:
         raise IllConditionedError(
             f"pivot system condition estimate {condition:.3e} exceeds "
             f"{_MAX_CONDITION:.0e}; pivots are too close to distinguish")
     return matrix, tuple(gaps), condition
+
+
+def reference_vv_weights(target, system) -> tuple:
+    """``vv_weights`` in tuple algebra: the inverse of ``reference_inverse``,
+    each matrix product a generator of row dot products summed left to
+    right, the residual and the refinement step zipped over those tuples,
+    and the same residual check."""
+    def apply(m, v):
+        return tuple(row[0] * v[0] + row[1] * v[1] + row[2] * v[2] for row in m)
+
+    rhs = (target.vega, target.vanna, target.volga)
+
+    def residual(x):
+        return tuple(t - v for t, v in zip(rhs, apply(system.matrix, x)))
+
+    inverse = reference_inverse(system.matrix)
+    x = apply(inverse, rhs)
+    x = tuple(u + v for u, v in zip(x, apply(inverse, residual(x))))
+    error, scale = math.hypot(*residual(x)), math.hypot(*rhs)
+    if scale > 0.0 and error > 1e-10 * scale:
+        raise IllConditionedError(
+            f"pivot solve residual {error:.3e} too large versus rhs norm {scale:.3e}")
+    return x
 
 
 def dense_bridge_survival(env: MarketEnvironment, n_steps: int, barrier: float,

@@ -354,6 +354,38 @@ class TestVvPrice:
             record["bs_price"] + record["adjustment"], abs=1e-14)
         assert record["condition"] > 0.0
 
+    SMILE = {"atm": 0.10, "rr": -0.015, "bf": 0.002}
+
+    def test_negative_price_is_flagged(self, tmp_path, capsys):
+        # the smile adjustment of this up-and-out call exceeds its flat price
+        # of 0.359; the record keeps the library's numbers and says so
+        market = {"spot": 80.94, "domestic_rate": 0.0301, "foreign_rate": 0.0336,
+                  "volatility": 0.333, "maturity": 1.64}
+        contract = dict(UP_OUT, strike=66.33, barrier=81.93)
+        code, out, err = run(capsys, "vv-price", write_request(tmp_path, contract, market),
+                             write_quotes(tmp_path, **self.SMILE))
+        assert (code, err) == (0, "")
+        record = record_of(out)
+        assert record["vv_price"] == pytest.approx(-0.634, abs=1e-3)
+        assert record["vv_price"] == record["bs_price"] + record["adjustment"]
+        assert "overrides the request volatility" in record["warnings"][0]
+        assert record["warnings"][1:] == [
+            f"the adjustment {record['adjustment']!r} exceeds the flat price "
+            f"{record['bs_price']!r}: the Vanna-Volga price is negative"]
+
+    def test_positive_price_record_unchanged(self, tmp_path, capsys):
+        contract = dict(UP_OUT, strike=95.0, barrier=112.0)
+        code, out, err = run(capsys, "vv-price", write_request(tmp_path, contract),
+                             write_quotes(tmp_path, **self.SMILE))
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"command":"vv-price","contract":"SingleBarrierSpec",'
+            '"bs_price":2.8579502619859278,"x1":-0.020632143221551047,'
+            '"x2":-0.46196493076646417,"x3":6.0521132460768765,'
+            '"adjustment":0.62591326557676674,"vv_price":3.4838635275626944,'
+            '"condition":103.9610257536057,"warnings":["quoted atm_vol 0.1 overrides '
+            'the request volatility 0.2 for the flat price and all pivot Greeks"]}\n')
+
     @pytest.mark.parametrize("market,contract,atm,code,error", [
         # (drift + atm_vol^2 / 2) T: the straddle strike overflows
         ({"spot": 3.9645892117932727e43, "domestic_rate": 2.338582397986274,

@@ -19,8 +19,9 @@ from fxx import (BarrierSide, DoubleBarrierSpec, FdBumps, KikoSpec, KnockType,
                  kiki_price, kiko_greeks, kiko_price, koko_greeks, koko_price,
                  mc_price, mc_price_batch, price_single_barrier, SingleBarrierSpec)
 from fxx.double_barrier import classify_kiko
-from support import corridor_series_oracle
-from test_domain_properties import _log_uniform
+from fxx.single_barrier import _clamp
+from support import corridor_series_oracle, outcome
+from test_domain_properties import _log_uniform, directions, markets, moneyness
 
 CALL, PUT = OptionDirection.CALL, OptionDirection.PUT
 UP, LOW = BarrierSide.UPPER, BarrierSide.LOWER
@@ -342,6 +343,39 @@ class TestKnockInCorridor:
         assert abs(closed - est.price) < 3.0 * est.std_error
 
 
+LAYOUTS = ("in-low-out-high", "in-high-out-low", "both-low-in-near", "both-low-in-far",
+           "both-high-in-near", "both-high-in-far")
+# distance factors of a barrier from spot, or of one barrier from the
+# other: from the desk's 3-30% down to 1e-9
+_gaps = st.one_of(st.floats(1.03, 1.3), _log_uniform(1e-9, 0.03).map(lambda g: 1.0 + g))
+
+
+@st.composite
+def kiko_layouts(draw):
+    """(layout, env, KikoSpec) over the 12 KIKO rule ids, spot up to 1e-9
+    from a barrier; the strike anywhere from half to 1.5 spot, at either
+    barrier or within 1e-6 of one."""
+    env = draw(markets)
+    layout = draw(st.sampled_from(LAYOUTS))
+    S = env.spot
+    if layout.startswith("in-"):
+        low, high = S / draw(_gaps), S * draw(_gaps)
+        pair = ((low, LOW, high, UP) if layout == "in-low-out-high" else
+                (high, UP, low, LOW))
+    else:
+        side = UP if "high" in layout else LOW
+        power = 1 if side == UP else -1
+        near = S * draw(_gaps) ** power
+        far = near * draw(_gaps) ** power
+        assume(near != far)
+        b_in, b_out = (near, far) if layout.endswith("near") else (far, near)
+        pair = (b_in, side, b_out, side)
+    barrier = draw(st.sampled_from((pair[0], pair[2])))
+    strike = draw(st.one_of(moneyness.map(lambda m: S * m), st.just(barrier),
+                            st.floats(-1e-6, 1e-6).map(lambda e: barrier * (1.0 + e))))
+    return layout, env, KikoSpec(draw(directions), strike, *pair)
+
+
 class TestInOutPair:
     def test_worthless_rows(self):
         # knock-in barrier lies beyond the knock-out barrier
@@ -437,6 +471,32 @@ class TestInOutPair:
         closed = kiko_price(ENV, spec)
         est = mc_price(ENV, spec, McConfig(n_paths=120_000, n_steps=300, seed=5))
         assert abs(closed - est.price) < 3.0 * est.std_error
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=600)
+    @given(kiko_layouts())
+    @pytest.mark.filterwarnings("ignore::fxx.errors.TruncationWarning")
+    def test_legs_are_the_public_single_barrier_prices(self, case):
+        # every layout is its legs' public prices, clamped, bit for bit
+        layout, env, spec = case
+        rule = classify_kiko(spec)
+        assert rule.endswith(layout)
+        if rule.endswith("-far"):
+            assert kiko_price(env, spec) == 0.0
+            return
+
+        def knock_out(barrier, side):
+            return price_single_barrier(env, SingleBarrierSpec(
+                spec.direction, spec.strike, barrier, side, OUT))
+
+        def replicated():
+            outer = knock_out(spec.barrier_out, spec.side_out)
+            if rule.endswith("-near"):
+                return _clamp(outer - knock_out(spec.barrier_in, spec.side_in))
+            lower, upper = sorted((spec.barrier_in, spec.barrier_out))
+            return _clamp(outer - koko_price(env, DoubleBarrierSpec(
+                spec.direction, spec.strike, lower, upper, OUT)))
+
+        assert outcome(lambda: kiko_price(env, spec)) == outcome(replicated)
 
     def test_inconsistent_sides_rejected(self):
         # the lower in barrier sits above the upper out barrier

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fxx import (DomainError, DoubleBarrierSpec, GreekSet, IllConditionedError, KikoSpec,
-                 MarketEnvironment, OptionDirection, PivotQuotes,
-                 SingleBarrierSpec, BarrierSide, KnockType, VanillaSpec,
-                 build_pivot_system, build_pivots,
+                 MarketEnvironment, OptionDirection, PivotQuotes, PricingError,
+                 SingleBarrierSpec, BarrierSide, KnockType, VanillaSpec, VVResult,
+                 build_pivot_system, build_pivots, greeks_contract,
                  gk_greeks, gk_price, price_contract, vv_price, vv_weights)
 from fxx.vanna_volga import (Pivot, PivotSet, _inverse, atm_strike, solve_delta_strike,
                              vv_adjustment)
+from support import outcome as _outcome, reference_vv_weights
 from test_domain_properties import (_log_uniform, corridors, directions, distances,
                                     extreme_markets, extreme_ratios, markets, moneyness,
                                     singles)
@@ -356,14 +358,6 @@ class TestProperties:
         assert abs(knock_out.adjustment + knock_in.adjustment - vanilla.adjustment) <= bound
 
 
-def _outcome(fn):
-    """repr of the result, or the type and message of what it raised."""
-    try:
-        return repr(fn())
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
-
-
 extreme_vols = _log_uniform(1e-6, 10.0)
 
 
@@ -405,3 +399,78 @@ def test_pivot_system_is_the_public_vanilla_construction(case):
         return system.matrix, system.gaps, system.condition
 
     assert _outcome(built) == _outcome(lambda: reference_pivot_system(env, pivots))
+
+
+finite_greeks = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False)
+
+
+@settings(PROPERTY, max_examples=500)
+@given(pivot_cases(), finite_greeks, finite_greeks, finite_greeks)
+def test_weights_are_the_tuple_reference(case, vega, vanna, volga):
+    env, pivots = case
+    try:
+        system = build_pivot_system(env, pivots)
+    except PricingError:
+        return
+    target = GreekSet(0.0, 0.0, vega, vanna, volga)
+    assert (_outcome(lambda: vv_weights(target, system))
+            == _outcome(lambda: reference_vv_weights(target, system)))
+
+
+def _contract_per_rule(rng):
+    """(env, spec) pairs on desk markets: two draws of each of the 33 rule
+    ids, barriers 3-30% from spot, strikes on either side of them."""
+    def env():
+        return MarketEnvironment(rng.uniform(50.0, 200.0), rng.uniform(-0.01, 0.05),
+                                 rng.uniform(-0.01, 0.05), rng.uniform(0.1, 0.4),
+                                 rng.uniform(0.1, 2.0))
+
+    def away(spot, side):
+        return spot * rng.uniform(1.03, 1.3) ** (1 if side == BarrierSide.UPPER else -1)
+
+    out = []
+    for _ in range(2):
+        for direction in (CALL, PUT):
+            e = env()
+            out.append((e, VanillaSpec(direction, e.spot * rng.uniform(0.7, 1.3))))
+            for knock in KnockType:
+                for side in BarrierSide:
+                    for above in (True, False):
+                        e = env()
+                        barrier = away(e.spot, side)
+                        strike = barrier * rng.uniform(1.01, 1.3) ** (1 if above else -1)
+                        out.append((e, SingleBarrierSpec(direction, strike, barrier, side, knock)))
+                e = env()
+                out.append((e, DoubleBarrierSpec(direction, e.spot * rng.uniform(0.9, 1.1),
+                                                 away(e.spot, BarrierSide.LOWER),
+                                                 away(e.spot, BarrierSide.UPPER), knock)))
+            for side_in in BarrierSide:
+                for side_out in BarrierSide:
+                    for in_nearer in ((True, False) if side_in == side_out else (True,)):
+                        e = env()
+                        near, far = sorted((rng.uniform(1.03, 1.15), rng.uniform(1.15, 1.3)))
+                        b_in, b_out = (near, far) if in_nearer else (far, near)
+                        b_in **= 1 if side_in == BarrierSide.UPPER else -1
+                        b_out **= 1 if side_out == BarrierSide.UPPER else -1
+                        out.append((e, KikoSpec(direction, e.spot * rng.uniform(0.8, 1.2),
+                                                e.spot * b_in, side_in, e.spot * b_out,
+                                                side_out)))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::fxx.errors.TruncationWarning")
+def test_vv_price_fields_on_every_rule_id():
+    # vv_price against its construction from the tuple reference weights:
+    # the flat Greeks at the ATM vol, the pivot system, the adjustment
+    cases = _contract_per_rule(random.Random(29))
+    assert len({price_contract(env, spec)[1] for env, spec in cases}) == 33
+    for quotes in (TestVvPrice.QUOTES, PivotQuotes(0.25, 0.02, 0.004)):
+        for env, spec in cases:
+            env_atm = replace(env, sigma=quotes.sigma_atm)
+            target = greeks_contract(env_atm, spec)[0]
+            system = build_pivot_system(env_atm, build_pivots(env_atm, quotes))
+            x_atm, x_rr, x_bf, adjustment = vv_adjustment(
+                reference_vv_weights(target, system), system)
+            expected = VVResult(target.value, x_atm, x_rr, x_bf, adjustment,
+                                target.value + adjustment, system.condition)
+            assert repr(vv_price(env, spec, quotes)) == repr(expected)
