@@ -168,21 +168,10 @@ class GreekSet:
         for name in ("value", "delta", "vega", "vanna", "volga"):
             _require_finite(getattr(self, name), name)
 
-    def __add__(self, other: "GreekSet") -> "GreekSet":
-        return GreekSet(self.value + other.value, self.delta + other.delta,
-                        self.vega + other.vega, self.vanna + other.vanna,
-                        self.volga + other.volga)
-
     def __sub__(self, other: "GreekSet") -> "GreekSet":
         return GreekSet(self.value - other.value, self.delta - other.delta,
                         self.vega - other.vega, self.vanna - other.vanna,
                         self.volga - other.volga)
-
-    def __mul__(self, scale: float) -> "GreekSet":
-        return GreekSet(scale * self.value, scale * self.delta, scale * self.vega,
-                        scale * self.vanna, scale * self.volga)
-
-    __rmul__ = __mul__
 
     def as_tuple(self) -> tuple:
         return (self.value, self.delta, self.vega, self.vanna, self.volga)

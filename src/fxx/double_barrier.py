@@ -2,25 +2,28 @@
 series, double knock-ins via parity, mixed in/out pairs via replication
 from table-row single knock-outs and the corridor knock-out.
 
-The knock-out call/put series (Ikeda & Kunitomo, 1992) sums
+Every corridor leg is one core, ``_knock_out``, priced from its levels;
+it ends in the single-barrier clamp, capped at the vanilla. The
+knock-out call/put series (Ikeda & Kunitomo, 1992) sums
 reflected-image terms indexed by ``n``. Each call sums n = -m..m for the
 smallest m whose closed-form bound on the omitted terms lies below the
 tail tolerance, capped at ``SeriesConfig.n_max``; at the cap a tail check
 warns when the first omitted terms are not negligible. The terms, the
 bound and the check all read one set of parameters affine in n. A term's
-N(hi) - N(lo) that underflows is taken in log space from the far tail,
-since its power can be large enough to make it count. Greeks of these
-contracts come from the finite-difference route in ``fxx.router``.
+N(hi) - N(lo) is taken on the tail nearer its ends, in log space when it
+underflows, since its power can be large enough to make it count. Greeks
+of these contracts come from the finite-difference route in
+``fxx.router``.
 """
 
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .contracts import (_TABLE, BarrierSide, DoubleBarrierSpec, KikoSpec, KnockType,
                         MarketEnvironment, OptionDirection)
-from .errors import (ClassificationError, NumericalError, PreconditionError,
+from .errors import (ClassificationError, DomainError, NumericalError, PreconditionError,
                      TruncationWarning)
 from .num_core import log_ratio
 from .num_core import std_normal_cdf as _N
@@ -48,14 +51,7 @@ class SeriesConfig:
 
     def __post_init__(self):
         if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-
-
-def _ncdf_diff(hi: float, lo: float) -> float:
-    """N(hi) - N(lo) >= 0 evaluated from the more accurate tail."""
-    if hi + lo > 0.0:
-        return _N(-lo) - _N(-hi)
-    return _N(hi) - _N(lo)
+            raise DomainError(f"n_max must be >= 1, got {self.n_max}")
 
 
 def _log_tail_diff(near: float, far: float) -> float:
@@ -74,14 +70,15 @@ def _log_tail_diff(near: float, far: float) -> float:
 
 
 def _pow_times(log_power: float, hi: float, lo: float) -> float:
-    """exp(log_power) (N(hi) - N(lo)) for hi >= lo, overflow-checked. A
-    difference below the normal double range is taken in log space from
-    the far tail, where the power may still make the term count."""
-    diff = _ncdf_diff(hi, lo)
+    """exp(log_power) (N(hi) - N(lo)) for hi >= lo, overflow-checked. The
+    difference is N(near) - N(far) on the tail nearer the ends, the
+    accurate one; below the normal double range it is taken in log space
+    from that tail, where the power may still make the term count."""
+    near, far = (-lo, -hi) if hi + lo > 0.0 else (hi, lo)
+    diff = _N(near) - _N(far)
     if diff >= _MIN_NORMAL:
         x = log_power + math.log(diff)
     else:
-        near, far = (-lo, -hi) if hi + lo > 0.0 else (hi, lo)  # N(near) - N(far)
         # above the tail only (nearly) equal ends get here; in it
         # N(near) < e^(-near^2/2), and a term below e^-745 is 0 in doubles
         if not far < near <= _TAIL_Z or log_power - 0.5 * near * near < -745.0:
@@ -143,9 +140,10 @@ def _series_cut(pieces: tuple, n_max: int):
     return None
 
 
-def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
-               cfg: SeriesConfig = SeriesConfig()) -> float:
-    """Double knock-out price from the truncated image series.
+def _knock_out(env: MarketEnvironment, direction: OptionDirection, K: float, L: float,
+               U: float, cfg: SeriesConfig) -> float:
+    """Corridor knock-out price at levels L < spot < U from the truncated
+    image series: the price of every corridor leg.
 
     Any strike is accepted. The strike enters the d-terms only as the
     limit of the payoff's range inside the corridor, so it is clipped to
@@ -154,16 +152,13 @@ def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
     ascending order, m being the smallest count up to ``cfg.n_max`` whose
     closed-form bound on all omitted terms (``_tail_bound``) lies below
     ``_TAIL_TOL``. When none does, it sums to ``cfg.n_max`` and warns
-    (TruncationWarning) if the first omitted terms reach ``_TAIL_TOL``.
-    The result is clamped to [0, vanilla]. A diffusion scale sigma sqrt(T)
-    below 1e-10 raises DomainError, as for single barriers.
+    (TruncationWarning, naming the public entry point's caller) if the
+    first omitted terms reach ``_TAIL_TOL``. The sum ends in ``_clamp``,
+    capped at the vanilla. A diffusion scale sigma sqrt(T) below 1e-10
+    raises DomainError, as for single barriers.
     """
-    if spec.knock != KnockType.OUT:
-        raise PreconditionError("koko_price prices knock-out corridors only")
-    spec.validate_against(env)
-    K, L, U = spec.strike, spec.lower, spec.upper
     Kc = min(max(K, L), U)
-    phi = int(spec.direction)
+    phi = int(direction)
     if Kc == (U if phi > 0 else L):
         return 0.0  # the payoff is zero everywhere inside the corridor
 
@@ -231,9 +226,18 @@ def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
             warnings.warn(
                 f"first omitted series terms (|n| = {edge}) contribute "
                 f"{omitted:.3e} >= tail_tol={_TAIL_TOL:.1e}; increase n_max "
-                "for this regime", TruncationWarning, stacklevel=2)
-    vanilla = gk_price(env, spec.direction, K)
-    return min(max(price, 0.0), vanilla)
+                "for this regime", TruncationWarning, stacklevel=3)
+    vanilla = gk_price(env, direction, K)
+    return min(_clamp(price), vanilla)
+
+
+def koko_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
+               cfg: SeriesConfig = SeriesConfig()) -> float:
+    """Double knock-out price from the truncated image series (``_knock_out``)."""
+    if spec.knock != KnockType.OUT:
+        raise PreconditionError("koko_price prices knock-out corridors only")
+    spec.validate_against(env)
+    return _knock_out(env, spec.direction, spec.strike, spec.lower, spec.upper, cfg)
 
 
 def kiki_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
@@ -241,8 +245,9 @@ def kiki_price(env: MarketEnvironment, spec: DoubleBarrierSpec,
     """Double knock-in price by parity: vanilla minus double knock-out."""
     if spec.knock != KnockType.IN:
         raise PreconditionError("kiki_price prices knock-in corridors only")
-    out_spec = replace(spec, knock=KnockType.OUT)
-    return gk_price(env, spec.direction, spec.strike) - koko_price(env, out_spec, cfg)
+    vanilla = gk_price(env, spec.direction, spec.strike)  # its errors come first
+    spec.validate_against(env)
+    return vanilla - _knock_out(env, spec.direction, spec.strike, spec.lower, spec.upper, cfg)
 
 
 def classify_kiko(spec: KikoSpec) -> str:
@@ -280,8 +285,9 @@ def kiko_price(env: MarketEnvironment, spec: KikoSpec,
     The difference ends in the single-barrier clamp: round-off in
     [-1e-10, 0) returns 0.0, and a value below -1e-10 or not finite raises
     NumericalError. Each single-barrier leg is priced from its table row and
-    clamped, as by ``price_single_barrier``; the spec's own checks keep both
-    levels positive and unbreached, so no leg spec is built."""
+    clamped, as by ``price_single_barrier``, and a corridor leg by
+    ``_knock_out``; the spec's own checks keep both levels positive and
+    unbreached, so no leg spec is built."""
     spec.validate_against(env)
     rule = classify_kiko(spec)
     if rule.endswith("-far"):
@@ -294,8 +300,6 @@ def kiko_price(env: MarketEnvironment, spec: KikoSpec,
         price = knock_out - _row_price(env, row, K, spec.barrier_in)
     else:
         lower, upper = sorted((spec.barrier_in, spec.barrier_out))
-        price = knock_out - koko_price(env, DoubleBarrierSpec(
-            direction=spec.direction, strike=K, lower=lower, upper=upper,
-            knock=KnockType.OUT), cfg)
+        price = knock_out - _knock_out(env, spec.direction, K, lower, upper, cfg)
     return _clamp(price)
 

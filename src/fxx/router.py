@@ -7,13 +7,13 @@ route for every contract: central differences of its price, with the spot
 stencil kept strictly on spot's side of those barriers.
 """
 
-from dataclasses import replace
 from typing import Callable, NamedTuple, Optional
 
 from .contracts import (BarrierSide, DoubleBarrierSpec, GreekSet, KikoSpec, KnockType,
                         MarketEnvironment, SingleBarrierSpec, VanillaSpec,
                         classify_single_barrier)
-from .double_barrier import SeriesConfig, classify_kiko, kiki_price, kiko_price, koko_price
+from .double_barrier import (SeriesConfig, _knock_out, classify_kiko, kiki_price, kiko_price,
+                             koko_price)
 from .errors import DomainError, PreconditionError
 from .greeks_fd import FdBumps, fd_greeks
 from .single_barrier import greeks_single_barrier, price_single_barrier
@@ -111,12 +111,13 @@ def greeks_contract(env: MarketEnvironment, spec, method: str = "analytic") -> t
     if method == "analytic":
         notices.append(f"no closed-form Greeks for {entry.noun}; finite differences used")
     bumps = _stencil_bumps(env, sum(entry.barriers(spec), ()))
-    if isinstance(spec, DoubleBarrierSpec) and spec.knock == KnockType.IN:
-        # the vanilla leg in closed form keeps KIKI + KOKO = vanilla to round-off
-        out = replace(spec, knock=KnockType.OUT)
-        knock_out = fd_greeks(lambda e: koko_price(e, out), env, bumps)
-        return gk_greeks(env, spec.direction, spec.strike) - knock_out, "fd", notices
     cfg = SeriesConfig()  # Greeks difference prices at the library's default cap
+    if isinstance(spec, DoubleBarrierSpec) and spec.knock == KnockType.IN:
+        # the vanilla leg in closed form keeps KIKI + KOKO = vanilla to round-off;
+        # the stencil keeps every spot inside the corridor
+        knock_out = fd_greeks(lambda e: _knock_out(e, spec.direction, spec.strike,
+                                                   spec.lower, spec.upper, cfg), env, bumps)
+        return gk_greeks(env, spec.direction, spec.strike) - knock_out, "fd", notices
     return fd_greeks(lambda e: entry.price(e, spec, cfg), env, bumps), "fd", notices
 
 

@@ -7,8 +7,8 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 
-from fxx import (BarrierSide, DoubleBarrierSpec, FdBumps, IllConditionedError, KikoSpec,
-                 KnockType, MarketEnvironment, OptionDirection, SingleBarrierSpec,
+from fxx import (BarrierSide, DoubleBarrierSpec, FdBumps, GreekSet, IllConditionedError,
+                 KikoSpec, KnockType, MarketEnvironment, OptionDirection, SingleBarrierSpec,
                  VanillaSpec, fd_greeks, gk_greeks, gk_price)
 from fxx.single_barrier import greeks_abcd
 from fxx.vanna_volga import _MAX_CONDITION
@@ -256,6 +256,13 @@ def corridor_series_oracle(env: MarketEnvironment, spec, m: int, dps: int = 60) 
                      - ref ** (mu - 2) * ncdf_diff(r(a) - s, r(c) - s))
         price = S * mp.exp(-r_f * T) * asset - K * mp.exp(-r_d * T) * cash
         return float(price if call else -price)
+
+
+def greek_sum(*sets: GreekSet, weights: tuple = ()) -> GreekSet:
+    """Component-wise sum of GreekSets, each times its weight (default 1.0)."""
+    weights = weights or (1.0,) * len(sets)
+    return GreekSet(*(sum(w * x for w, x in zip(weights, column))
+                      for column in zip(*(g.as_tuple() for g in sets))))
 
 
 def outcome(fn):

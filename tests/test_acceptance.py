@@ -11,7 +11,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from support import MC_CONTRACTS, MC_ENV, barrier_grid, compare_parameter_greeks, in_out_pair
+from support import (MC_CONTRACTS, MC_ENV, barrier_grid, compare_parameter_greeks, greek_sum,
+                     in_out_pair)
 
 import fxx
 from fxx import (BarrierSide, DoubleBarrierSpec, KnockType,
@@ -45,8 +46,8 @@ def test_criterion_1_in_out_parity_suite():
         worst_price = max(worst_price, err)
         assert err <= 1e-10
 
-        greek_total = (greeks_single_barrier(env, spec_in)
-                       + greeks_single_barrier(env, spec_out))
+        greek_total = greek_sum(greeks_single_barrier(env, spec_in),
+                                greeks_single_barrier(env, spec_out))
         vanilla_greeks = gk_greeks(env, direction, strike)
         for comp in ("delta", "vega", "vanna", "volga"):
             gap = abs(getattr(greek_total, comp) - getattr(vanilla_greeks, comp))

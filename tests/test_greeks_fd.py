@@ -7,7 +7,7 @@ from fxx import (DomainError, FdBumps, MarketEnvironment, NumericalError, Option
                  TruncationWarning, fd_greeks, gk_greeks, gk_price, greeks_contract, price_contract)
 from fxx.greeks_fd import StencilEvaluationError
 from golden import regen
-from support import richardson_fd
+from support import greek_sum, richardson_fd
 
 ENV = MarketEnvironment(spot=100.0, r_d=0.03, r_f=0.01, sigma=0.2, T=1.0)
 CALL = OptionDirection.CALL
@@ -49,7 +49,8 @@ class TestToyPricers:
         p1 = lambda e: 2.0
         p2 = lambda e: 0.5 * e.spot
         combined = fd_greeks(lambda e: 2.0 * p1(e) + 3.0 * p2(e), ENV, DYADIC)
-        expected = 2.0 * fd_greeks(p1, ENV, DYADIC) + 3.0 * fd_greeks(p2, ENV, DYADIC)
+        expected = greek_sum(fd_greeks(p1, ENV, DYADIC), fd_greeks(p2, ENV, DYADIC),
+                             weights=(2.0, 3.0))
         for comp in ("value", "delta", "vega", "vanna", "volga"):
             assert abs(getattr(combined, comp) - getattr(expected, comp)) <= 1e-12
 

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import abcd_oracle, barrier_grid, compare_parameter_greeks, in_out_pair
+from support import abcd_oracle, barrier_grid, compare_parameter_greeks, greek_sum, in_out_pair
 from test_domain_properties import directions, distances, markets, moneyness
 
 from fxx import (BarrierSide, DomainError, KnockType, MarketEnvironment,
@@ -190,8 +190,8 @@ class TestOptionGreeks:
     def test_in_plus_out_equals_vanilla_greeks(self):
         for env, strike, barrier, direction, side in barrier_grid(2002, 150):
             spec_in, spec_out = in_out_pair(strike, barrier, direction, side)
-            total = (greeks_single_barrier(env, spec_in)
-                     + greeks_single_barrier(env, spec_out))
+            total = greek_sum(greeks_single_barrier(env, spec_in),
+                              greeks_single_barrier(env, spec_out))
             vanilla = gk_greeks(env, direction, strike)
             for comp in ("delta", "vega", "vanna", "volga"):
                 assert abs(getattr(total, comp) - getattr(vanilla, comp)) <= 1e-10

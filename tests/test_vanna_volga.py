@@ -14,7 +14,7 @@ from fxx import (DomainError, DoubleBarrierSpec, GreekSet, IllConditionedError, 
                  gk_greeks, gk_price, price_contract, vv_price, vv_weights)
 from fxx.vanna_volga import (Pivot, PivotSet, _inverse, atm_strike, solve_delta_strike,
                              vv_adjustment)
-from support import outcome as _outcome, reference_vv_weights
+from support import greek_sum, outcome as _outcome, reference_vv_weights
 from test_domain_properties import (_log_uniform, corridors, directions, distances,
                                     extreme_markets, extreme_ratios, markets, moneyness,
                                     singles)
@@ -153,7 +153,7 @@ class TestWeights:
         pivots, system = self._system()
         g1 = gk_greeks(ENV, CALL, pivots.put_25.strike)
         g3 = gk_greeks(ENV, CALL, pivots.call_25.strike)
-        x = vv_weights(2.0 * g1 + 3.0 * g3, system)
+        x = vv_weights(greek_sum(g1, g3, weights=(2.0, 3.0)), system)
         assert x[0] == pytest.approx(2.0, abs=1e-9)
         assert abs(x[1]) <= 1e-9
         assert x[2] == pytest.approx(3.0, abs=1e-9)
@@ -186,8 +186,8 @@ class TestVvPrice:
         env_atm = replace(ENV, sigma=quotes.sigma_atm)
         pivots = build_pivots(ENV, quotes)
         system = build_pivot_system(env_atm, pivots)
-        straddle = (gk_greeks(env_atm, CALL, pivots.atm.strike)
-                    + gk_greeks(env_atm, PUT, pivots.atm.strike))
+        straddle = greek_sum(gk_greeks(env_atm, CALL, pivots.atm.strike),
+                             gk_greeks(env_atm, PUT, pivots.atm.strike))
         weights = vv_weights(straddle, system)
         _x_atm, x_rr, x_bf, adjustment = vv_adjustment(weights, system)
         scale = max(abs(w) for w in weights)
@@ -247,7 +247,7 @@ class TestVvPrice:
         g1 = gk_greeks(env_atm, CALL, 105.0)
         g2 = gk_greeks(env_atm, PUT, 95.0)
         adj = lambda g: vv_adjustment(vv_weights(g, system), system)[3]
-        assert adj(g1 + g2) == pytest.approx(adj(g1) + adj(g2), abs=1e-10)
+        assert adj(greek_sum(g1, g2)) == pytest.approx(adj(g1) + adj(g2), abs=1e-10)
 
     def test_adjustment_shrinks_linearly_with_quotes(self):
         spec = VanillaSpec(CALL, 110.0)
